@@ -399,26 +399,42 @@ def poly_div_linear_power(p: Poly, name: str, root, k: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def interpolate_columns(nodes, columns) -> list:
+    """Exact interpolation of several value columns over one node tuple.
+
+    Each column lists the values at `nodes`, in order.  Returns, per column,
+    ``{degree: Fraction}`` (zeros omitted) of the unique polynomial of degree
+    below ``len(nodes)`` through those values.  The Lagrange coefficient rows
+    are built once and shared by every column.
+    """
+    xs = [as_frac(x) for x in nodes]
+    if len(set(xs)) != len(xs):
+        raise DuplicateNode(f"repeated interpolation nodes among {xs}")
+    rows = []
+    for xi in xs:
+        # coefficients of prod_{j != i} (x - x_j) / (x_i - x_j), lowest first
+        row, den = [Fraction(1)], Fraction(1)
+        for xj in xs:
+            if xj != xi:
+                row = [a - xj * b for a, b in zip([0] + row, row + [0])]
+                den *= xi - xj
+        rows.append([c / den for c in row])
+    out = []
+    for values in columns:
+        coeffs = [Fraction(0)] * len(xs)
+        for y, row in zip(values, rows):
+            if y:
+                for k, c in enumerate(row):
+                    coeffs[k] += y * c
+        out.append({k: c for k, c in enumerate(coeffs) if c})
+    return out
+
+
 def interpolate(points, var: str = "q") -> Poly:
     """Exact Lagrange interpolation through (x, y) pairs of rationals."""
     pts = [(as_frac(x), as_frac(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation nodes among {xs}")
-    total = Poly((var,), {})
-    X = Poly.variable((var,), var)
-    for i, (xi, yi) in enumerate(pts):
-        if not yi:
-            continue
-        num = Poly.const((var,), yi)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            num = num * (X - Poly.const((var,), xj))
-            den *= xi - xj
-        total = total + num * (Fraction(1) / den)
-    return total
+    (coeffs,) = interpolate_columns([x for x, _ in pts], [[y for _, y in pts]])
+    return Poly((var,), {(k,): c for k, c in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

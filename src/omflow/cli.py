@@ -20,9 +20,9 @@ from pathlib import Path
 from .algebra import json_dumps_canonical
 from .coflows import (
     DEFAULT_BUDGET,
+    a_eval,
     a_even_poly,
     a_poly,
-    a_poly_eval_q,
     b_poly,
     char_pair,
 )
@@ -31,8 +31,6 @@ from .errors import BudgetExceeded, DegreeSafetyCheckFailed, OmflowError
 from .fixtures import (
     NAMED_FIXTURES,
     NAMED_POMS,
-    R10_ROWS,
-    U24_ROWS,
     corpus_digraphs,
     corpus_doubled,
     corpus_poms,
@@ -40,7 +38,7 @@ from .fixtures import (
     fixture_names,
     get_fixture,
     get_pom_fixture,
-    pom_fixture_names,
+    pom_graph,
 )
 from .identities import SUITES, run_suites
 from .matroid import Digraph, OrientedMatroid
@@ -78,26 +76,10 @@ def _pom_from_pairs(om: OrientedMatroid, pairs):
     return make_pom(om, blocks)
 
 
-def _pom_from_edges(obj):
-    """Mixed-graph shorthand: {"vertices": n, "edges": [[u, v, kind], ...]}.
-
-    kind is "directed" or "undirected"; optional "labels" covers the arcs,
-    directed edges first and then both arcs (u, v), (v, u) of each
-    undirected edge.
-    """
-    directed, undirected = [], []
-    for e in obj["edges"]:
-        if len(e) != 3 or e[2] not in ("directed", "undirected"):
-            raise CliError(f"edge {e!r} is not [u, v, 'directed'|'undirected']")
-        (directed if e[2] == "directed" else undirected).append((int(e[0]), int(e[1])))
-    arcs = list(directed)
-    blocks = [(i,) for i in range(len(arcs))]
-    for u, v in undirected:
-        j = len(arcs)
-        arcs += [(u, v), (v, u)]
-        blocks.append((j, j + 1))
-    d = Digraph.make(int(obj["vertices"]), arcs, obj.get("labels"))
-    return make_pom(OrientedMatroid.from_digraph(d), blocks), d
+def _vertex_count(obj, source: str) -> int:
+    if "vertices" not in obj:
+        raise CliError(f"{source}: a graph input needs the key 'vertices'")
+    return int(obj["vertices"])
 
 
 def load_input(source: str, assume_tu: bool = False):
@@ -105,8 +87,10 @@ def load_input(source: str, assume_tu: bool = False):
 
     `source` is the name of a built-in fixture or a path to a JSON file
     holding a digraph {"vertices", "arcs", "labels"?}, a matrix {"rows",
-    "labels"?}, or a mixed graph {"vertices", "edges"}; the first two may
-    carry "pairs" (label doubletons) to leave some elements unoriented.
+    "labels"?}, or a mixed graph {"vertices", "edges", "labels"?}; the first
+    two may carry "pairs" (label doubletons) to leave some elements
+    unoriented.  A mixed graph's edges are [u, v, "directed"|"undirected"];
+    its labels follow :func:`fixtures.pom_graph`.
     """
     if source in NAMED_FIXTURES:
         om, d = get_fixture(source)
@@ -125,12 +109,18 @@ def load_input(source: str, assume_tu: bool = False):
         raise CliError(f"{source}: top-level JSON value must be an object")
 
     if "edges" in obj:
-        p, d = _pom_from_edges(obj)
+        directed, undirected = [], []
+        for e in obj["edges"]:
+            if len(e) != 3 or e[2] not in ("directed", "undirected"):
+                raise CliError(f"edge {e!r} is not [u, v, 'directed'|'undirected']")
+            (directed if e[2] == "directed" else undirected).append((e[0], e[1]))
+        nv, labels = _vertex_count(obj, source), obj.get("labels")
+        p = pom_graph(nv, directed, undirected, labels)
         if p.pair_blocks:
             return ("pom", p)
-        return ("om", p.om, d)
+        return ("om", p.om, Digraph.make(nv, directed, labels))
     if "arcs" in obj:
-        d = Digraph.make(int(obj["vertices"]), obj["arcs"], obj.get("labels"))
+        d = Digraph.make(_vertex_count(obj, source), obj["arcs"], obj.get("labels"))
         om = OrientedMatroid.from_digraph(d)
         if "pairs" in obj:
             return ("pom", _pom_from_pairs(om, obj["pairs"]))
@@ -196,7 +186,6 @@ def _apply_at(poly, at: dict, bound: set):
 
 def cmd_compute(args) -> int:
     at = parse_at(args.at)
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     resolved = load_input(args.input, assume_tu=args.assume_tu)
     what = args.what
 
@@ -204,12 +193,12 @@ def cmd_compute(args) -> int:
     if what in ("t1", "t2"):
         p = _as_pom(resolved)
         fn = t1 if what == "t1" else t2
-        parts = {None: fn(p, budget=budget, jobs=args.jobs)}
+        parts = {None: fn(p, budget=args.budget, jobs=args.jobs)}
     elif what == "b":
         om, d = _require_om(resolved, "the b-polynomial")
         if d is None:
             raise CliError("the b-polynomial needs a digraph input")
-        parts = {None: b_poly(d, budget=budget)}
+        parts = {None: b_poly(d, budget=args.budget)}
     else:
         om, _d = _require_om(resolved, f"computing {what}")
         if what == "a":
@@ -221,19 +210,19 @@ def cmd_compute(args) -> int:
                 and q0.numerator % 2 == 1
             ):
                 # evaluate directly at the requested odd q; no interpolation
-                poly = a_poly_eval_q(om, int(q0), budget=budget, jobs=args.jobs)
+                poly = a_eval(om, int(q0), budget=args.budget, jobs=args.jobs)
                 print(json_dumps_canonical(poly.to_json_obj()))
                 return 0
-            parts = {None: a_poly(om, budget=budget, jobs=args.jobs)}
+            parts = {None: a_poly(om, budget=args.budget, jobs=args.jobs)}
         elif what == "tutte":
             parts = {None: tutte(om)}
         elif what == "potts":
             parts = {None: potts(om)}
         elif what == "char":
-            cp = char_pair(om, budget=budget)
+            cp = char_pair(om, budget=args.budget)
             parts = {"strict": cp.strict, "weak": cp.weak}
         elif what == "a-even":
-            ev = a_even_poly(om, budget=budget, jobs=args.jobs)
+            ev = a_even_poly(om, budget=args.budget, jobs=args.jobs)
             parts = {"odd": ev.odd, "even": ev.even}
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown computation {what!r}")
@@ -270,9 +259,7 @@ def _verify_instance(resolved, name: str, suites, budget, jobs) -> list:
     if "pom" in suites:
         reports += verify_pom(_as_pom(resolved), name, budget=budget, jobs=jobs)
     if "classes" in suites and resolved[0] == "om":
-        reports += verify_class_counts(
-            resolved[1], name, budget=budget if budget is not None else DEFAULT_BUDGET
-        )
+        reports += verify_class_counts(resolved[1], name, budget=budget)
     return reports
 
 
@@ -284,7 +271,6 @@ def cmd_verify(args) -> int:
         reports = _verify_instance(resolved, args.input, suites, args.budget, args.jobs)
     else:
         id_suites = [s for s in suites if s in SUITES]
-        budget = args.budget if args.budget is not None else DEFAULT_BUDGET
         if id_suites or "classes" in suites:
             for name, om, d in default_corpus(
                 args.corpus_max_vertices,
@@ -299,7 +285,7 @@ def cmd_verify(args) -> int:
                         jobs=args.jobs, digraph=d,
                     )
                 if "classes" in suites:
-                    reports += verify_class_counts(om, name, budget=budget)
+                    reports += verify_class_counts(om, name, budget=args.budget)
         if "pom" in suites:
             for name, p in corpus_poms(args.corpus_pom_vertices, args.corpus_pom_edges):
                 reports += verify_pom(p, name, budget=args.budget, jobs=args.jobs)
@@ -316,19 +302,6 @@ def cmd_verify(args) -> int:
 # corpus export
 # ---------------------------------------------------------------------------
 
-_NAMED_FILES = {
-    "U24": lambda: {
-        "rows": [[str(x) for x in row] for row in U24_ROWS],
-        "labels": ["a", "b", "c", "d"],
-        "assume_tu": True,
-    },
-    "R10": lambda: {
-        "rows": [[str(x) for x in row] for row in R10_ROWS],
-        "labels": [f"e{i}" for i in range(10)],
-    },
-}
-
-
 def cmd_corpus(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -339,12 +312,15 @@ def cmd_corpus(args) -> int:
         path.write_text(json_dumps_canonical(obj) + "\n")
         entries.append(name)
 
-    for name, d in corpus_digraphs(args.corpus_max_vertices, args.corpus_max_arcs):
-        emit(name, {
+    def digraph_obj(d):
+        return {
             "vertices": d.vertices,
             "arcs": [[u, v] for u, v in d.arcs],
             "labels": list(d.labels),
-        })
+        }
+
+    for name, d in corpus_digraphs(args.corpus_max_vertices, args.corpus_max_arcs):
+        emit(name, digraph_obj(d))
     for name, (nv, edges), _om in corpus_doubled(
         args.corpus_doubled_vertices, args.corpus_doubled_edges
     ):
@@ -354,15 +330,15 @@ def cmd_corpus(args) -> int:
         })
     if not args.corpus_no_named:
         for name in fixture_names():
-            if name in _NAMED_FILES:
-                emit(name, _NAMED_FILES[name]())
-            else:
-                _om, d = get_fixture(name)
-                emit(name, {
-                    "vertices": d.vertices,
-                    "arcs": [[u, v] for u, v in d.arcs],
-                    "labels": list(d.labels),
-                })
+            om, d = get_fixture(name)
+            if d is not None:
+                emit(name, digraph_obj(d))
+                continue
+            obj = {"rows": [[str(x) for x in row] for row in om.rows],
+                   "labels": list(om.labels)}
+            if om.tu_status != "true":
+                obj["assume_tu"] = True
+            emit(name, obj)
     (outdir / "index.json").write_text(
         json_dumps_canonical({"instances": sorted(entries)}) + "\n"
     )
@@ -376,10 +352,9 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
     resolved = load_input(args.input, assume_tu=args.assume_tu)
     om, _d = _require_om(resolved, "class counting")
-    rc = reorientation_classes(om, universe=args.universe, budget=budget)
+    rc = reorientation_classes(om, universe=args.universe, budget=args.budget)
     obj = {
         "universe": rc.universe,
         "count": rc.count,
@@ -399,7 +374,7 @@ def cmd_classes(args) -> int:
 
 
 def _add_common(sp, budget=True, jobs=True, assume=True):
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="work cap; exceeding it exits 3")
     if jobs:
         sp.add_argument("--jobs", type=int, default=1,

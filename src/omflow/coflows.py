@@ -16,13 +16,14 @@ extensions against every circuit condition.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Poly, interpolate
+from .algebra import Poly, interpolate_columns
 from .errors import BudgetExceeded, DegreeSafetyCheckFailed
 from .matroid import Digraph, OrientedMatroid, bits_of
 
@@ -109,14 +110,17 @@ def _hist_range(ext, filt, q: int, start: int, stop: int, n: int) -> np.ndarray:
     return acc
 
 
-def _box_count_range(ext, filt, q, start, stop, lo_val, hi_val) -> int:
+def _box_count(ext, filt, q, lo_val, hi_val, budget: int) -> int:
     """Count assignments whose every extended value lies in [lo_val, hi_val]."""
     if lo_val > hi_val:
-        return 0
+        # only the empty coflow of an empty ground set lies in an empty box
+        return int(ext.shape[0] == 0)
     r = ext.shape[1]
     total = 0
     width = hi_val - lo_val + 1
-    for lo in range(start, stop, _CHUNK):
+    stop = width**r
+    _check_budget(stop, budget)
+    for lo in range(0, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         idx = np.arange(lo, hi, dtype=np.int64)
         if r == 0:
@@ -135,6 +139,59 @@ def _box_count_range(ext, filt, q, start, stop, lo_val, hi_val) -> int:
 def _check_budget(amount: int, budget: int) -> None:
     if amount > budget:
         raise BudgetExceeded(amount, budget)
+
+
+# ---------------------------------------------------------------------------
+# interpolation in q and the memo
+# ---------------------------------------------------------------------------
+
+
+def _interpolated(vars, nodes, count_at, spares: dict, what: str) -> Poly:
+    """The polynomial over `vars` (q first) through counts at integer nodes.
+
+    `count_at(q)` maps monomials in the remaining variables to counts; each
+    monomial's coefficient is interpolated in q over `nodes`.  `spares` maps
+    spare nodes to counts found independently, which the result must
+    reproduce exactly, or the degree assumption was wrong.  Callers count the
+    spares first: they are the most expensive enumerations, so a budget trip
+    costs nothing instead of all the cheaper nodes.
+    """
+    evals = [count_at(q) for q in nodes]
+    monos = sorted({e for ev in evals for e in ev})
+    cols = interpolate_columns(nodes, [[ev.get(e, 0) for ev in evals] for e in monos])
+    poly = Poly(
+        vars, {(k, *e): c for e, col in zip(monos, cols) for k, c in col.items()}
+    )
+    for q, counts in spares.items():
+        if poly.subs_scalar("q", q) != Poly(vars[1:], counts):
+            raise DegreeSafetyCheckFailed(f"{what} at q={q}")
+    return poly
+
+
+_MEMO: dict = {}
+
+
+def _memoized(fn):
+    """Remember fn(om, ...) per (fn, om.canonical_key()).
+
+    The result depends only on the signed circuits, so `budget` and `jobs`
+    are not part of the key: a hit enumerates nothing and trips no budget.
+    """
+
+    @functools.wraps(fn)
+    def cached(om: OrientedMatroid, *args, **kwargs):
+        key = (fn, om.canonical_key())
+        hit = _MEMO.get(key)
+        if hit is None:
+            hit = _MEMO[key] = fn(om, *args, **kwargs)
+        return hit
+
+    return cached
+
+
+def clear_caches() -> None:
+    """Forget every memoized result."""
+    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +273,7 @@ def a_eval(
     return Poly(("y", "z"), {e: Fraction(c) for e, c in terms.items()})
 
 
-_APOLY_CACHE: dict = {}
-_CHAR_CACHE: dict = {}
-_EVEN_CHAR_CACHE: dict = {}
-
-
+@_memoized
 def a_poly(
     om: OrientedMatroid, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> Poly:
@@ -229,36 +282,15 @@ def a_poly(
     Nodes q = 1, 3, ..., 2*rank+1 pin the q-degree; a spare evaluation at
     2*rank+3 must then match exactly, or the degree assumption was wrong.
     """
-    key = om.canonical_key()
-    hit = _APOLY_CACHE.get(key)
-    if hit is not None:
-        return hit
     r = om.rank
-    nodes = [2 * k + 1 for k in range(r + 1)]
-    spare = 2 * r + 3
-    # the spare node is the most expensive enumeration; doing it first makes
-    # a budget trip cost nothing instead of all the cheaper nodes
-    direct = a_eval(om, spare, budget=budget, jobs=jobs)
-    evals = {q: a_eval(om, q, budget=budget, jobs=jobs) for q in nodes}
-    monos = sorted({e for p in evals.values() for e in p.terms})
-    total = Poly(QYZ, {})
-    for i, j in monos:
-        pts = [(q, evals[q].terms.get((i, j), Fraction(0))) for q in nodes]
-        cq = interpolate(pts, var="q")
-        for (k,), c in cq.terms.items():
-            total = total + Poly.monomial(QYZ, (k, i, j), c)
-    implied = total.subs_scalar("q", spare)
-    if implied != direct:
-        raise DegreeSafetyCheckFailed(
-            f"interpolated polynomial disagrees at q={spare}"
-        )
-    _APOLY_CACHE[key] = total
-    return total
 
+    def stats(q):
+        return a_eval(om, q, budget=budget, jobs=jobs).terms
 
-def a_poly_eval_q(om: OrientedMatroid, q: int, **kw) -> Poly:
-    """Shortcut: the bivariate polynomial at a concrete odd q."""
-    return a_eval(om, q, **kw)
+    return _interpolated(
+        QYZ, [2 * k + 1 for k in range(r + 1)], stats, {2 * r + 3: stats(2 * r + 3)},
+        "interpolated polynomial disagrees",
+    )
 
 
 @dataclass(frozen=True)
@@ -267,6 +299,7 @@ class CharPair:
     weak: Poly
 
 
+@_memoized
 def char_pair(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> CharPair:
     """Strict and weak one-sided coflow counting polynomials (odd q).
 
@@ -274,47 +307,32 @@ def char_pair(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> CharPair:
     Interpolated at q = 1, 3, ..., 2*rank+1 and cross-checked at one extra
     odd node against the statistics route through a_eval.
     """
-    key = om.canonical_key()
-    hit = _CHAR_CACHE.get(key)
-    if hit is not None:
-        return hit
     bcols, ext, filt = extension_matrix(om)
     r = len(bcols)
     nodes = [2 * k + 1 for k in range(r + 1)]
-
-    def strict_at(q):
-        if om.n == 0:
-            return 1
-        half = (q - 1) // 2
-        if half == 0:
-            return 0
-        _check_budget(half**r, budget)
-        return _box_count_range(ext, filt, q, 0, half**r, 1, half)
-
-    def weak_at(q):
-        half = (q - 1) // 2
-        _check_budget((half + 1) ** r, budget)
-        return _box_count_range(ext, filt, q, 0, (half + 1) ** r, 0, half)
-
-    s_pts = [(q, strict_at(q)) for q in nodes]
-    w_pts = [(q, weak_at(q)) for q in nodes]
-    strict = interpolate(s_pts, var="q")
-    weak = interpolate(w_pts, var="q")
     spare = 2 * r + 3
     stats = a_eval(om, spare, budget=budget)
     # strict coflows have every value on the positive side; weak ones have
     # none there (then flip sign), so both counts hide in the statistics
-    strict_direct = stats.terms.get((om.n, 0), Fraction(0))
-    weak_direct = sum(
-        (c for (g, l), c in stats.terms.items() if g == 0), Fraction(0)
+    strict_direct = stats.terms.get((om.n, 0), 0)
+    weak_direct = sum(c for (g, l), c in stats.terms.items() if g == 0)
+
+    def strict_at(q):
+        return {(): _box_count(ext, filt, q, 1, (q - 1) // 2, budget)}
+
+    def weak_at(q):
+        return {(): _box_count(ext, filt, q, 0, (q - 1) // 2, budget)}
+
+    return CharPair(
+        strict=_interpolated(
+            ("q",), nodes, strict_at, {spare: {(): strict_direct}},
+            "strict count disagrees",
+        ),
+        weak=_interpolated(
+            ("q",), nodes, weak_at, {spare: {(): weak_direct}},
+            "weak count disagrees",
+        ),
     )
-    if strict.eval_frac({"q": spare}) != strict_direct:
-        raise DegreeSafetyCheckFailed(f"strict count disagrees at q={spare}")
-    if weak.eval_frac({"q": spare}) != weak_direct:
-        raise DegreeSafetyCheckFailed(f"weak count disagrees at q={spare}")
-    out = CharPair(strict=strict, weak=weak)
-    _CHAR_CACHE[key] = out
-    return out
 
 
 def lattice_count(
@@ -359,48 +377,34 @@ def lattice_count(
     return total
 
 
+@_memoized
 def even_char_pair(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> CharPair:
     """Even-q analogues: closed box {0..q/2} (weak) and open box {1..q/2-1}.
 
     Interpolated at q = 2, 4, ..., 2*rank+2, with a spare-node safety check
     at 2*rank+4.
     """
-    key = om.canonical_key()
-    hit = _EVEN_CHAR_CACHE.get(key)
-    if hit is not None:
-        return hit
     bcols, ext, filt = extension_matrix(om)
     r = len(bcols)
     nodes = [2 * k + 2 for k in range(r + 1)]
+    spare = 2 * r + 4
 
     def open_count(q):
-        if om.n == 0:
-            return 1
-        lo, hi = 1, q // 2 - 1
-        if lo > hi:
-            return 0
-        width = hi - lo + 1
-        _check_budget(width**r, budget)
-        return _box_count_range(ext, filt, q, 0, width**r, lo, hi)
+        return {(): _box_count(ext, filt, q, 1, q // 2 - 1, budget)}
 
     def closed_count(q):
-        lo, hi = 0, q // 2
-        width = hi - lo + 1
-        _check_budget(width**r, budget)
-        return _box_count_range(ext, filt, q, 0, width**r, lo, hi)
+        return {(): _box_count(ext, filt, q, 0, q // 2, budget)}
 
-    s_pts = [(q, open_count(q)) for q in nodes]
-    w_pts = [(q, closed_count(q)) for q in nodes]
-    strict = interpolate(s_pts, var="q")
-    weak = interpolate(w_pts, var="q")
-    spare = 2 * r + 4
-    if strict.eval_frac({"q": spare}) != open_count(spare):
-        raise DegreeSafetyCheckFailed(f"open box count disagrees at q={spare}")
-    if weak.eval_frac({"q": spare}) != closed_count(spare):
-        raise DegreeSafetyCheckFailed(f"closed box count disagrees at q={spare}")
-    out = CharPair(strict=strict, weak=weak)
-    _EVEN_CHAR_CACHE[key] = out
-    return out
+    return CharPair(
+        strict=_interpolated(
+            ("q",), nodes, open_count, {spare: open_count(spare)},
+            "open box count disagrees",
+        ),
+        weak=_interpolated(
+            ("q",), nodes, closed_count, {spare: closed_count(spare)},
+            "closed box count disagrees",
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -427,37 +431,21 @@ class EvenAPoly:
         return {"odd": self.odd.to_json_obj(), "even": self.even.to_json_obj()}
 
 
-_AEVEN_CACHE: dict = {}
-
-
+@_memoized
 def a_even_poly(
     om: OrientedMatroid, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> EvenAPoly:
-    key = om.canonical_key()
-    hit = _AEVEN_CACHE.get(key)
-    if hit is not None:
-        return hit
     odd = a_poly(om, budget=budget, jobs=jobs)
     r = om.rank
-    nodes = [2 * k + 2 for k in range(r + 1)]
-    hists = {q: coflow_histogram(om, q, budget=budget, jobs=jobs) for q in nodes}
-    monos = sorted({e for hh in hists.values() for e, _ in hh.counts})
-    even = Poly(QYZW, {})
-    for i, j, k in monos:
-        pts = [
-            (q, hists[q].as_dict().get((i, j, k), 0)) for q in nodes
-        ]
-        cq = interpolate(pts, var="q")
-        for (d,), c in cq.terms.items():
-            even = even + Poly.monomial(QYZW, (d, i, j, k), c)
-    spare = 2 * r + 4
-    direct = coflow_histogram(om, spare, budget=budget, jobs=jobs)
-    want = Poly(("y", "z", "w"), {e: Fraction(c) for e, c in direct.counts})
-    if even.subs_scalar("q", spare) != want:
-        raise DegreeSafetyCheckFailed(f"even statistics disagree at q={spare}")
-    out = EvenAPoly(odd=odd, even=even)
-    _AEVEN_CACHE[key] = out
-    return out
+
+    def hist(q):
+        return coflow_histogram(om, q, budget=budget, jobs=jobs).as_dict()
+
+    even = _interpolated(
+        QYZW, [2 * k + 2 for k in range(r + 1)], hist, {2 * r + 4: hist(2 * r + 4)},
+        "even statistics disagree",
+    )
+    return EvenAPoly(odd=odd, even=even)
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +527,8 @@ def b_poly(d: Digraph, budget: int = DEFAULT_BUDGET) -> Poly:
             (int(c) // size, int(c) % size): int(acc[c]) for c in np.nonzero(acc)[0]
         }
 
-    nodes = list(range(1, nv + 2))
-    evals = {q: stats_at(q) for q in nodes}
-    monos = sorted({e for ev in evals.values() for e in ev})
-    total = Poly(QYZ, {})
-    for i, j in monos:
-        pts = [(q, evals[q].get((i, j), 0)) for q in nodes]
-        cq = interpolate(pts, var="q")
-        for (k,), c in cq.terms.items():
-            total = total + Poly.monomial(QYZ, (k, i, j), c)
-    for spare in (nv + 2, nv + 3):
-        direct = stats_at(spare)
-        want = Poly(("y", "z"), {e: Fraction(c) for e, c in direct.items()})
-        if total.subs_scalar("q", spare) != want:
-            raise DegreeSafetyCheckFailed(f"coloring statistics disagree at q={spare}")
-    return total
-
-
-def clear_caches() -> None:
-    _APOLY_CACHE.clear()
-    _CHAR_CACHE.clear()
-    _EVEN_CHAR_CACHE.clear()
-    _AEVEN_CACHE.clear()
+    return _interpolated(
+        QYZ, list(range(1, nv + 2)), stats_at,
+        {q: stats_at(q) for q in (nv + 2, nv + 3)},
+        "coloring statistics disagree",
+    )

@@ -28,6 +28,7 @@ from .algebra import (
     json_dumps_canonical,
 )
 from .coflows import (
+    DEFAULT_BUDGET,
     a_eval,
     a_poly,
     b_poly,
@@ -113,19 +114,20 @@ def minor_reoriented(
 # ---------------------------------------------------------------------------
 
 
-def verify_basic(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> list:
-    kw = {} if budget is None else {"budget": budget}
+def verify_basic(
+    om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> list:
     suite = "basic"
     if om.tu_status == "not-tu":
         return [_skip(suite, "all", name, "representation not unimodular")]
     out = []
-    p = a_poly(om, jobs=jobs, **kw)
+    p = a_poly(om, budget=budget, jobs=jobs)
     out.append(_cmp(suite, "symmetry-y-z", name, p, swap_yz(p)))
 
     n = om.n
     xyz = ("x", "y", "z")
     for q0 in (3, 5):
-        hist = coflow_histogram(om, q0, jobs=jobs, **kw)
+        hist = coflow_histogram(om, q0, budget=budget, jobs=jobs)
         lhs2 = Poly(xyz, {})
         lhs3 = Poly(YZ, {})
         for (g, l, h), c in hist.counts:
@@ -149,7 +151,7 @@ def verify_basic(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> 
                 f"loop-deletion-{om.labels[a]}",
                 name,
                 p,
-                a_poly(om.delete(1 << a), jobs=jobs, **kw),
+                a_poly(om.delete(1 << a), budget=budget, jobs=jobs),
             )
         )
     qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
@@ -161,7 +163,7 @@ def verify_basic(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> 
                 f"coloop-contraction-{om.labels[a]}",
                 name,
                 p,
-                coloop_factor * a_poly(om.contract(1 << a), jobs=jobs, **kw),
+                coloop_factor * a_poly(om.contract(1 << a), budget=budget, jobs=jobs),
             )
         )
     # direct sums against two tiny reference summands
@@ -176,8 +178,8 @@ def verify_basic(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> 
                 suite,
                 f"direct-sum-{tag}",
                 name,
-                a_poly(s, jobs=jobs, **kw),
-                p * a_poly(other, jobs=jobs, **kw),
+                a_poly(s, budget=budget, jobs=jobs),
+                p * a_poly(other, budget=budget, jobs=jobs),
             )
         )
     return out
@@ -189,9 +191,8 @@ def verify_basic(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> 
 
 
 def verify_tutte_relations(
-    om: OrientedMatroid, name: str, budget=None, jobs: int = 1
+    om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
-    kw = {} if budget is None else {"budget": budget}
     suite = "tutte"
     out = []
     pt = potts(om)
@@ -199,7 +200,7 @@ def verify_tutte_relations(
         # negative control: for a non-regular sign pattern, the coflow count
         # must NOT reproduce the Potts polynomial
         for q0 in (3, 5):
-            hist = coflow_histogram(om, q0, jobs=jobs, **kw)
+            hist = coflow_histogram(om, q0, budget=budget, jobs=jobs)
             got: dict = {}
             for (g, l, h), c in hist.counts:
                 k = g + l + h
@@ -220,7 +221,7 @@ def verify_tutte_relations(
     # (a) doubling: statistics of the doubled matroid = potts at yz
     if 2 * om.n <= 16:
         dbl = om.double()
-        lhs = a_poly(dbl, jobs=jobs, **kw)
+        lhs = a_poly(dbl, budget=budget, jobs=jobs)
         yz_prod = Poly.variable(QYZ, "y") * Poly.variable(QYZ, "z")
         rhs = pt.compose(QYZ, {"q": Poly.variable(QYZ, "q"), "y": yz_prod})
         out.append(_cmp(suite, "doubling", name, lhs, rhs))
@@ -231,7 +232,7 @@ def verify_tutte_relations(
     if om.n <= AVERAGE_SIZE_CAP:
         total = Poly(QYZ, {})
         for s in range(1 << om.n):
-            total = total + a_poly(om.reorient(s), jobs=jobs, **kw)
+            total = total + a_poly(om.reorient(s), budget=budget, jobs=jobs)
         qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
         rhs = pt.compose(QYZ, {"q": qv, "y": (yv + zv) * Fraction(1, 2)})
         out.append(
@@ -241,7 +242,7 @@ def verify_tutte_relations(
         out.append(_skip(suite, "reorientation-average", name, "2^n too large"))
 
     # (c) diagonal y = z recovers potts
-    p = a_poly(om, jobs=jobs, **kw)
+    p = a_poly(om, budget=budget, jobs=jobs)
     qy = ("q", "y")
     lhs = p.compose(qy, {"q": Poly.variable(qy, "q"), "y": Poly.variable(qy, "y"),
                          "z": Poly.variable(qy, "y")})
@@ -278,8 +279,9 @@ def _classify_flipped(circ_masks: list, ground: int, t: int):
     return union == 0, union == ground
 
 
-def verify_expansions(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> list:
-    kw = {} if budget is None else {"budget": budget}
+def verify_expansions(
+    om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> list:
     suite = "expansions"
     if om.tu_status == "not-tu":
         return [_skip(suite, "all", name, "representation not unimodular")]
@@ -299,8 +301,8 @@ def verify_expansions(om: OrientedMatroid, name: str, budget=None, jobs: int = 1
             s_ct = (kept_mask & ~T).bit_count()
             t_ct = T.bit_count()
             t_local = reindex_mask(T, kept)
-            cp_del = char_pair(mdel.reorient(t_local), **kw)
-            cp_con = char_pair(mcon.reorient(t_local), **kw)
+            cp_del = char_pair(mdel.reorient(t_local), budget=budget)
+            cp_con = char_pair(mcon.reorient(t_local), budget=budget)
             for dest, cp, shift in (
                 (acc[0], cp_del.strict, qk),
                 (acc[1], cp_del.weak, qk),
@@ -314,7 +316,7 @@ def verify_expansions(om: OrientedMatroid, name: str, budget=None, jobs: int = 1
         Poly(QYZ, {e: c for e, c in d.items() if c}) for d in acc
     )
 
-    p = a_poly(om, jobs=jobs, **kw)
+    p = a_poly(om, budget=budget, jobs=jobs)
     qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
     rhs1 = p.compose(QYZ, {"q": qv, "y": 1 + yv, "z": 1 + zv})
     out.append(_cmp(suite, "deletion-strict", name, lhs1, rhs1))
@@ -327,7 +329,7 @@ def verify_expansions(om: OrientedMatroid, name: str, budget=None, jobs: int = 1
     gf1 = Poly(qa, {})
     gf2 = Poly(qa, {})
     for s in range(1 << n):
-        cp = char_pair(om.reorient(s), **kw)
+        cp = char_pair(om.reorient(s), budget=budget)
         amon = Poly.monomial(qa, (0, s.bit_count()), 1)
         gf1 = gf1 + amon * cp.strict.lift(qa)
         gf2 = gf2 + amon * cp.weak.lift(qa)
@@ -348,14 +350,15 @@ def verify_expansions(om: OrientedMatroid, name: str, budget=None, jobs: int = 1
 # ---------------------------------------------------------------------------
 
 
-def verify_reciprocity(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> list:
-    kw = {} if budget is None else {"budget": budget}
+def verify_reciprocity(
+    om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> list:
     suite = "reciprocity"
     if om.tu_status == "not-tu":
         return [_skip(suite, "all", name, "representation not unimodular")]
     out = []
     n, r = om.n, om.rank
-    p = a_poly(om, jobs=jobs, **kw)
+    p = a_poly(om, budget=budget, jobs=jobs)
     sign_r = Fraction(-1) ** r
     p_at_m1 = p.subs_scalar("q", -1)  # bivariate in (y, z)
 
@@ -398,12 +401,13 @@ def verify_reciprocity(om: OrientedMatroid, name: str, budget=None, jobs: int = 
         out.append(_skip(suite, "partition-sums", name, f"n={n} exceeds partition cap"))
 
     # weak polynomial at -q expands over cyclic flats
-    cp = char_pair(om, **kw)
+    cp = char_pair(om, budget=budget)
     lhs_flat = Poly(("q",), {(k,): c * Fraction(-1) ** k for (k,), c in cp.weak.terms.items()})
     rhs_flat = Poly(("q",), {})
     for t in om.cyclic_flats():
         sub = om.contract(t)
-        rhs_flat = rhs_flat + Fraction(-1) ** (r - om.rank_of(t)) * char_pair(sub, **kw).strict
+        sign = Fraction(-1) ** (r - om.rank_of(t))
+        rhs_flat = rhs_flat + sign * char_pair(sub, budget=budget).strict
     out.append(_cmp(suite, "weak-at-negated-q", name, lhs_flat, rhs_flat))
 
     # indicator evaluations at q = -1
@@ -466,17 +470,20 @@ def _duality_points(n: int):
 
 
 def verify_duality(
-    om: OrientedMatroid, name: str, budget=None, jobs: int = 1, digraph: Digraph = None
+    om: OrientedMatroid,
+    name: str,
+    budget: int = DEFAULT_BUDGET,
+    jobs: int = 1,
+    digraph: Digraph = None,
 ) -> list:
-    kw = {} if budget is None else {"budget": budget}
     suite = "duality"
     if om.tu_status == "not-tu":
         return [_skip(suite, "all", name, "representation not unimodular")]
     out = []
     n, r = om.n, om.rank
-    p = a_poly(om, jobs=jobs, **kw)
+    p = a_poly(om, budget=budget, jobs=jobs)
     dual = om.dual()
-    pdual = a_poly(dual, jobs=jobs, **kw)
+    pdual = a_poly(dual, budget=budget, jobs=jobs)
 
     # (a) at q = -1 the dual statistics are a homogenized reparametrization
     yb, zb = Poly.variable(YZ, "y"), Poly.variable(YZ, "z")
@@ -489,8 +496,8 @@ def verify_duality(
     # (b) at q = 3 the duality needs a cube root of unity; check pointwise
     t = EisensteinScalar.of(0, 1)
     tbar = t.conj()
-    stats3 = a_eval(om, 3, jobs=jobs, **kw)
-    stats3_dual = a_eval(dual, 3, jobs=jobs, **kw)
+    stats3 = a_eval(om, 3, budget=budget, jobs=jobs)
+    stats3_dual = a_eval(dual, 3, budget=budget, jobs=jobs)
     bad = []
     for y0, z0 in _duality_points(n):
         denom = 1 + y0 + z0
@@ -530,11 +537,11 @@ def verify_duality(
                     suite,
                     f"coloring-route-q{q0}",
                     name,
-                    digraph_a_eval(digraph, q0, **kw),
-                    a_eval(om, q0, jobs=jobs, **kw),
+                    digraph_a_eval(digraph, q0, budget=budget),
+                    a_eval(om, q0, budget=budget, jobs=jobs),
                 )
             )
-        bp = b_poly(digraph, **kw)
+        bp = b_poly(digraph, budget=budget)
         lhs_b = bp.subs_scalar("q", -1) * Fraction(-1) ** digraph.components()
         out.append(_cmp(suite, "order-poly-bridge", name, lhs_b, p.subs_scalar("q", -1)))
     return out
@@ -545,13 +552,14 @@ def verify_duality(
 # ---------------------------------------------------------------------------
 
 
-def verify_recurrences(om: OrientedMatroid, name: str, budget=None, jobs: int = 1) -> list:
-    kw = {} if budget is None else {"budget": budget}
+def verify_recurrences(
+    om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> list:
     suite = "recurrences"
     if om.tu_status == "not-tu":
         return [_skip(suite, "all", name, "representation not unimodular")]
     out = []
-    p = a_poly(om, jobs=jobs, **kw)
+    p = a_poly(om, budget=budget, jobs=jobs)
     qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
     coloops = om.coloops_mask
     for a in range(om.n):
@@ -559,14 +567,14 @@ def verify_recurrences(om: OrientedMatroid, name: str, budget=None, jobs: int = 
         lab = om.labels[a]
         if coloops & am:
             rhs = (1 + (qv - 1) * Fraction(1, 2) * (yv + zv)) * a_poly(
-                om.contract(am), jobs=jobs, **kw
+                om.contract(am), budget=budget, jobs=jobs
             )
             out.append(_cmp(suite, f"coloop-{lab}", name, p, rhs))
         else:
-            lhs = p + a_poly(om.reorient(am), jobs=jobs, **kw)
-            rhs = (yv + zv) * a_poly(om.delete(am), jobs=jobs, **kw) + (
+            lhs = p + a_poly(om.reorient(am), budget=budget, jobs=jobs)
+            rhs = (yv + zv) * a_poly(om.delete(am), budget=budget, jobs=jobs) + (
                 2 - yv - zv
-            ) * a_poly(om.contract(am), jobs=jobs, **kw)
+            ) * a_poly(om.contract(am), budget=budget, jobs=jobs)
             out.append(_cmp(suite, f"flip-average-{lab}", name, lhs, rhs))
 
     cocirc_supports = {d.support for d in om.cocircuits()}
@@ -574,12 +582,14 @@ def verify_recurrences(om: OrientedMatroid, name: str, budget=None, jobs: int = 
         em = 1 << i | 1 << j
         lab = f"{om.labels[i]}+{om.labels[j]}"
         if em in cocirc_supports:
-            rhs = (1 + (qv - 1) * yv * zv) * a_poly(om.contract(em), jobs=jobs, **kw)
+            rhs = (1 + (qv - 1) * yv * zv) * a_poly(
+                om.contract(em), budget=budget, jobs=jobs
+            )
             out.append(_cmp(suite, f"pair-cocircuit-{lab}", name, p, rhs))
         else:
-            rhs = yv * zv * a_poly(om.delete(em), jobs=jobs, **kw) + (
+            rhs = yv * zv * a_poly(om.delete(em), budget=budget, jobs=jobs) + (
                 1 - yv * zv
-            ) * a_poly(om.contract(em), jobs=jobs, **kw)
+            ) * a_poly(om.contract(em), budget=budget, jobs=jobs)
             out.append(_cmp(suite, f"pair-split-{lab}", name, p, rhs))
     return out
 
@@ -598,7 +608,7 @@ def run_suites(
     om: OrientedMatroid,
     name: str,
     suites=None,
-    budget=None,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
     digraph: Digraph = None,
 ) -> list:

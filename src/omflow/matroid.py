@@ -182,6 +182,8 @@ class OrientedMatroid:
     ) -> "OrientedMatroid":
         rows = mat_from_rows(rows)
         n = len(rows[0]) if rows else 0
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix rows differ in length")
         if labels is None:
             labels = [f"e{i}" for i in range(n)]
         if len(labels) != n:
@@ -615,6 +617,8 @@ class Digraph:
 
     @classmethod
     def make(cls, vertices: int, arcs, labels=None) -> "Digraph":
+        if vertices < 0:
+            raise ValueError(f"vertex count {vertices} is negative")
         arcs = tuple((int(u), int(v)) for u, v in arcs)
         for u, v in arcs:
             if not (0 <= u < vertices and 0 <= v < vertices):

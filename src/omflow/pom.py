@@ -33,28 +33,8 @@ POM_PAIR_CAP = 6
 
 # The invariants below repeatedly need the coflow polynomial of the same
 # minors (complete orientations recur across t2, the recurrence and the
-# activity expansion).  Both polynomials depend only on the signed circuits,
-# so a process-wide memo keyed by them is sound; corpus instances are tiny.
-_APOLY_MEMO: dict = {}
-_CHAR_MEMO: dict = {}
-
-
-def _a_poly_memo(om: OrientedMatroid, budget=None, jobs: int = 1) -> Poly:
-    key = (om.n, om.circuits)
-    hit = _APOLY_MEMO.get(key)
-    if hit is None:
-        kw = {} if budget is None else {"budget": budget}
-        hit = _APOLY_MEMO[key] = a_poly(om, jobs=jobs, **kw)
-    return hit
-
-
-def _char_pair_memo(om: OrientedMatroid, budget=None):
-    key = (om.n, om.circuits)
-    hit = _CHAR_MEMO.get(key)
-    if hit is None:
-        kw = {} if budget is None else {"budget": budget}
-        hit = _CHAR_MEMO[key] = char_pair(om, **kw)
-    return hit
+# activity expansion).  a_poly and char_pair remember their results per
+# signed circuit set, so every repeat after the first is a memo hit.
 
 
 @dataclass(frozen=True)
@@ -202,10 +182,12 @@ def _assemble(acc: dict, num_blocks: int, rank: int, mode: int) -> Poly:
     return quo
 
 
-def t1(p: PartialOrientedMatroid, budget=None, jobs: int = 1) -> Poly:
+def t1(
+    p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Poly:
     """First invariant: substitute q -> (x-1)(y-1), y -> 1/y, z -> 1 into the
     coflow polynomial, scale by y^blocks/(y-1)^rank."""
-    pa = _a_poly_memo(p.om, budget, jobs)
+    pa = a_poly(p.om, budget=budget, jobs=jobs)
     acc: dict = {}
     for (k, i, j), c in pa.terms.items():
         key = (k, i)
@@ -213,12 +195,14 @@ def t1(p: PartialOrientedMatroid, budget=None, jobs: int = 1) -> Poly:
     return _assemble(acc, p.num_blocks, p.om.rank, mode=1)
 
 
-def t2(p: PartialOrientedMatroid, budget=None, jobs: int = 1) -> Poly:
+def t2(
+    p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Poly:
     """Second invariant: average the q -> (x-1)(y-1), y -> (2-y)/y, z -> 1
     substitution over all complete orientations."""
     acc: dict = {}
-    for ori in complete_orientations(p, **({"budget": budget} if budget else {})):
-        pa = _a_poly_memo(ori, budget, jobs)
+    for ori in complete_orientations(p, budget=budget):
+        pa = a_poly(ori, budget=budget, jobs=jobs)
         for (k, i, j), c in pa.terms.items():
             key = (k, i)
             acc[key] = acc.get(key, Fraction(0)) + c
@@ -230,12 +214,12 @@ def t2(p: PartialOrientedMatroid, budget=None, jobs: int = 1) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _strict_at_q(om: OrientedMatroid, q_poly: Poly, budget=None) -> Poly:
-    cp = _char_pair_memo(om, budget).strict
+def _strict_at_q(om: OrientedMatroid, q_poly: Poly, budget: int) -> Poly:
+    cp = char_pair(om, budget=budget).strict
     return cp.compose(XY, {"q": q_poly})
 
 
-def t1_by_subsets(p: PartialOrientedMatroid, budget=None) -> Poly:
+def t1_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     """Sum over deleted subsets of strict characteristic polynomials."""
     om = p.om
     n, r = om.n, om.rank
@@ -260,7 +244,7 @@ def t1_by_subsets(p: PartialOrientedMatroid, budget=None) -> Poly:
     return total
 
 
-def t2_by_subsets(p: PartialOrientedMatroid, budget=None) -> Poly:
+def t2_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     """Orientation-summed subset expansion."""
     om = p.om
     r = om.rank
@@ -268,7 +252,7 @@ def t2_by_subsets(p: PartialOrientedMatroid, budget=None) -> Poly:
     q_xy = (Poly.variable(XY, "x") - 1) * (Poly.variable(XY, "y") - 1)
     half_y = Poly.variable(XY, "y") * Fraction(1, 2)
     total = Poly(XY, {})
-    for ori in complete_orientations(p, **({"budget": budget} if budget else {})):
+    for ori in complete_orientations(p, budget=budget):
         for s in range(1 << e):
             sub = ori.delete(s)
             strict = _strict_at_q(sub, q_xy, budget)
@@ -298,7 +282,11 @@ def _pair_kind(p: PartialOrientedMatroid, j: int) -> str:
 
 
 def t_by_recurrence(
-    p: PartialOrientedMatroid, mode: int, order=None, budget=None, jobs: int = 1
+    p: PartialOrientedMatroid,
+    mode: int,
+    order=None,
+    budget: int = DEFAULT_BUDGET,
+    jobs: int = 1,
 ) -> Poly:
     """Eliminate unoriented elements one at a time; fully oriented leftovers
     are evaluated through the defining formula.
@@ -419,7 +407,11 @@ def activities(p: PartialOrientedMatroid, basis, order) -> tuple:
 
 
 def t_by_activities(
-    p: PartialOrientedMatroid, mode: int, order=None, budget=None, jobs: int = 1
+    p: PartialOrientedMatroid,
+    mode: int,
+    order=None,
+    budget: int = DEFAULT_BUDGET,
+    jobs: int = 1,
 ) -> Poly:
     """Activity expansion over potential bases of the unoriented blocks."""
     pair_positions = [j for j, b in enumerate(p.blocks) if len(b) == 2]
@@ -439,7 +431,9 @@ def t_by_activities(
     return total
 
 
-def tutte_subgraph(p: PartialOrientedMatroid, mode: int, budget=None, jobs=1) -> Poly:
+def tutte_subgraph(
+    p: PartialOrientedMatroid, mode: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Poly:
     """Corank/nullity-weighted sum of fully oriented minors over subsets of
     the unoriented blocks."""
     pair_positions = [j for j, b in enumerate(p.blocks) if len(b) == 2]
@@ -467,7 +461,7 @@ def tutte_subgraph(p: PartialOrientedMatroid, mode: int, budget=None, jobs=1) ->
 
 
 def verify_pom(
-    p: PartialOrientedMatroid, name: str, budget=None, jobs: int = 1
+    p: PartialOrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
     """Cross-check every algorithm for t1/t2 on one instance.
 
@@ -540,16 +534,14 @@ def verify_pom(
 
 
 def pom_evaluations(
-    p: PartialOrientedMatroid, name: str, budget=None, jobs: int = 1
+    p: PartialOrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
     """Check the point evaluations of t1/t2 against direct enumerations."""
     suite = "pom"
     out = []
     v1 = t1(p, budget=budget, jobs=jobs)
     v2 = t2(p, budget=budget, jobs=jobs)
-    orientations = complete_orientations(
-        p, **({"budget": budget} if budget else {})
-    )
+    orientations = complete_orientations(p, budget=budget)
     acyclic = 0
     totally_cyclic = 0
     for ori in orientations:
@@ -598,7 +590,7 @@ def pom_evaluations(
     one_minus_x = 1 - Poly.variable(("x",), "x")
     rhs = Poly(("x",), {})
     for ori in orientations:
-        rhs = rhs + _char_pair_memo(ori, budget).strict.compose(("x",), {"q": one_minus_x})
+        rhs = rhs + char_pair(ori, budget=budget).strict.compose(("x",), {"q": one_minus_x})
     rhs = rhs * Fraction(-1) ** r
     report("y-zero-t1", v1.subs_scalar("y", 0), rhs)
     report("y-zero-t2", v2.subs_scalar("y", 0), rhs)

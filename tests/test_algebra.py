@@ -14,6 +14,7 @@ from omflow.algebra import (
     homog_general,
     homog_substitute,
     interpolate,
+    interpolate_columns,
     json_dumps_canonical,
     mat_from_rows,
     mat_is_tu,
@@ -153,6 +154,31 @@ class TestInterpolate:
         p = interpolate(pts, var="x")
         for x, y in pts:
             assert p.eval_frac({"x": x}) == y
+
+    @given(
+        st.lists(st.fractions(), min_size=1, max_size=6, unique=True).flatmap(
+            lambda xs: st.tuples(
+                st.just(xs),
+                st.lists(
+                    st.lists(st.fractions(), min_size=len(xs), max_size=len(xs)),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_reproduce_values(self, case):
+        xs, columns = case
+        results = interpolate_columns(xs, columns)
+        assert len(results) == len(columns)
+        for ys, coeffs in zip(columns, results):
+            assert all(c and 0 <= k < len(xs) for k, c in coeffs.items())
+            for x, y in zip(xs, ys):
+                assert sum(c * x**k for k, c in coeffs.items()) == y
+
+    def test_columns_duplicate_node(self):
+        with pytest.raises(DuplicateNode):
+            interpolate_columns([1, 3, 1], [[0, 1, 2]])
 
 
 class TestHomog:

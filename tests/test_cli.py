@@ -105,7 +105,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(
         capsys, "compute", "a", "--input", "fig-exp-Apoly", "--at", "w=1"
     )[0] == 2
-    clear_caches()  # the budget guard sits on enumeration, not on cache hits
+    clear_caches()  # a memo hit enumerates nothing, so it trips no budget
     assert run_cli(
         capsys, "compute", "a", "--input", "R10", "--budget", "1000"
     )[0] == 3
@@ -250,3 +250,71 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == U24_TUTTE_JSON
+
+
+R10_FILE = (
+    '{"labels":["e0","e1","e2","e3","e4","e5","e6","e7","e8","e9"],'
+    '"rows":[["1","0","0","0","0","-1","1","0","0","1"],'
+    '["0","1","0","0","0","1","-1","1","0","0"],'
+    '["0","0","1","0","0","0","1","-1","1","0"],'
+    '["0","0","0","1","0","0","0","1","-1","1"],'
+    '["0","0","0","0","1","1","0","0","1","-1"]]}\n'
+)
+U24_FILE = (
+    '{"assume_tu":true,"labels":["a","b","c","d"],'
+    '"rows":[["1","0","1","1"],["0","1","1","-1"]]}\n'
+)
+
+
+def test_corpus_export_named_matrix_files_are_frozen(tmp_path, capsys):
+    out_dir = tmp_path / "corp"
+    code, _ = run_cli(
+        capsys, "corpus", "--out", str(out_dir),
+        "--corpus-max-vertices", "1", "--corpus-max-arcs", "1",
+        "--corpus-doubled-vertices", "1", "--corpus-doubled-edges", "1",
+    )
+    assert code == 0
+    assert (out_dir / "R10.json").read_text() == R10_FILE
+    assert (out_dir / "U24.json").read_text() == U24_FILE
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"arcs": [[0, 1]]},
+        {"vertices": -1, "arcs": []},
+        {"rows": [[1, 0], [0]]},
+    ],
+    ids=["arcs-without-vertices", "negative-vertices", "ragged-rows"],
+)
+def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code = main(["compute", "a", "--input", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_mixed_graph_all_directed_keeps_digraph(tmp_path, capsys):
+    # an all-directed mixed graph is a digraph input: the b-polynomial needs it
+    f = tmp_path / "alldir.json"
+    f.write_text(json.dumps({
+        "vertices": 2,
+        "edges": [[0, 1, "directed"]],
+        "labels": ["x"],
+    }))
+    code, out = run_cli(capsys, "compute", "b", "--input", str(f))
+    assert code == 0
+    assert json.loads(out) == {
+        "terms": [
+            {"den": "1", "exp": [1, 0, 0], "num": "1"},
+            {"den": "2", "exp": [1, 0, 1], "num": "-1"},
+            {"den": "2", "exp": [1, 1, 0], "num": "-1"},
+            {"den": "2", "exp": [2, 0, 1], "num": "1"},
+            {"den": "2", "exp": [2, 1, 0], "num": "1"},
+        ],
+        "vars": ["q", "y", "z"],
+    }

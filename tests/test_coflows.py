@@ -12,13 +12,16 @@ from omflow.coflows import (
     a_poly,
     b_poly,
     char_pair,
+    clear_caches,
     coflow_histogram,
     digraph_a_eval,
     even_char_pair,
     lattice_count,
 )
 from omflow.errors import BudgetExceeded
+from omflow.fixtures import get_pom_fixture
 from omflow.matroid import Digraph, OrientedMatroid
+from omflow.pom import t1
 
 Q = Fraction
 QYZ = ("q", "y", "z")
@@ -316,3 +319,24 @@ class TestDigraphRoutes:
     def test_b_poly_degree(self):
         d = Digraph.make(3, [(0, 1), (1, 2), (2, 0)])
         assert b_poly(d).degree("q") <= 3
+
+
+class TestMemo:
+    ROUTES = {
+        "a_poly": lambda **kw: a_poly(triangle(), **kw),
+        "a_even_poly": lambda **kw: a_even_poly(triangle(), **kw),
+        "char_pair": lambda **kw: char_pair(triangle(), **kw),
+        "even_char_pair": lambda **kw: even_char_pair(triangle(), **kw),
+        "t1": lambda **kw: t1(get_pom_fixture("P2"), **kw),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_clear_caches_resets_every_route(self, route):
+        call = self.ROUTES[route]
+        warm = call()
+        # a hit enumerates nothing, so the budget is not consulted
+        assert call(budget=1) == warm
+        clear_caches()
+        with pytest.raises(BudgetExceeded):
+            call(budget=1)
+        assert call() == warm

@@ -145,6 +145,18 @@ def test_complete_orientations_budget():
         complete_orientations(p, budget=10)
 
 
+def test_zero_budget_reaches_complete_orientations():
+    # the budget is passed on as given, zero included, even on memo hits
+    p2 = get_pom_fixture("P2")
+    t2(p2)
+    with pytest.raises(BudgetExceeded):
+        t2(p2, budget=0)
+    with pytest.raises(BudgetExceeded):
+        t2_by_subsets(p2, budget=0)
+    with pytest.raises(BudgetExceeded):
+        pom_evaluations(p2, "P2", budget=0)
+
+
 def test_pom_minor_reindexes_blocks():
     p2 = get_pom_fixture("P2")
     contracted = pom_minor(p2, contract=[1])  # contract the side parallel to d
