@@ -27,7 +27,12 @@ from .coflows import (
     char_pair,
 )
 from .cocycles import reorientation_classes, verify_class_counts
-from .errors import BudgetExceeded, DegreeSafetyCheckFailed, OmflowError
+from .errors import (
+    BudgetExceeded,
+    DegreeSafetyCheckFailed,
+    InvariantViolated,
+    OmflowError,
+)
 from .fixtures import (
     NAMED_FIXTURES,
     NAMED_POMS,
@@ -107,7 +112,13 @@ def load_input(source: str, assume_tu: bool = False):
         raise CliError(f"{source}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(obj, dict):
         raise CliError(f"{source}: top-level JSON value must be an object")
+    try:
+        return _from_json(obj, source, assume_tu)
+    except TypeError as e:
+        raise CliError(f"{source}: a value has the wrong type: {e}") from None
 
+
+def _from_json(obj: dict, source: str, assume_tu: bool):
     if "edges" in obj:
         directed, undirected = [], []
         for e in obj["edges"]:
@@ -442,7 +453,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except DegreeSafetyCheckFailed as e:
+    except (DegreeSafetyCheckFailed, InvariantViolated) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (CliError, OmflowError, ValueError) as e:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import F2Space, f2_enumerate, f2_span
 from .coflows import DEFAULT_BUDGET, even_char_pair
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolated
 from .identities import CheckReport
 from .matroid import OrientedMatroid
 from .tutte import tutte
@@ -130,7 +130,8 @@ def reorientation_classes(
     for cls in classes:
         per_member = {_is_acyclic_flipped(om.circuits, s) for s in cls}
         # acyclicity is invariant under positive-cocycle reversal
-        assert len(per_member) == 1, f"mixed acyclicity in class {cls}"
+        if len(per_member) != 1:
+            raise InvariantViolated(f"mixed acyclicity in class {cls}")
         flags.append(per_member.pop())
     return ReorientationClasses(universe, tuple(members), classes, tuple(flags))
 
@@ -145,7 +146,8 @@ def alpha_signature(om: OrientedMatroid, s: int) -> tuple:
     out = []
     for c in om.circuits:
         d = signed_intersection(c, s)
-        assert d % 2 == 0, "signed intersection of a cocycle must be even"
+        if d % 2:
+            raise InvariantViolated("signed intersection of a cocycle must be even")
         out.append(d // 2)
     return tuple(out)
 
@@ -164,7 +166,7 @@ def omega_counts(
         by_sig.setdefault(alpha_signature(om, s), []).append(s)
     sig_partition = sorted(tuple(sorted(g)) for g in by_sig.values())
     if sig_partition != sorted(rc.classes):
-        raise AssertionError(
+        raise InvariantViolated(
             "signature grouping disagrees with positive-cocircuit transport"
         )
     return rc.count, rc.acyclic_count

@@ -4,9 +4,12 @@ A mod-q coflow assigns a residue to every element so that, around every
 circuit, the sum over the positive side equals the sum over the negative
 side.  Fixing a basis, every coflow is determined by its basis values via the
 fundamental-circuit relations, so enumeration walks the q^rank basis
-assignments in mixed-radix order (lowest-index basis element varying
-fastest) and extends each one with an integer matrix product — numpy does the
-heavy lifting, all in int64.
+assignments and maps each through the integer extension matrix.  One kernel,
+`_products`, walks this grid, the boxes of basis values and the vertex
+potentials of digraphs alike: it multiplies the lowest coordinates once, as a
+block of rows, and yields each chunk as that block plus the fixed product of
+the higher coordinates, one broadcast add.  numpy does the heavy lifting, all
+in int64.
 
 For inputs whose representation failed the unimodularity guard, the
 fundamental-circuit extension is still a sound superset generator (the
@@ -24,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Poly, interpolate_columns
-from .errors import BudgetExceeded, DegreeSafetyCheckFailed
+from .errors import BudgetExceeded, DegreeSafetyCheckFailed, InvariantViolated
 from .matroid import Digraph, OrientedMatroid, bits_of
 
 DEFAULT_BUDGET = 10**8
@@ -35,137 +38,8 @@ QYZW = ("q", "y", "z", "w")
 
 
 # ---------------------------------------------------------------------------
-# extension machinery
+# the memo
 # ---------------------------------------------------------------------------
-
-
-def extension_matrix(om: OrientedMatroid):
-    """(basis columns, n x rank int64 extension matrix, circuit filter or None).
-
-    Row a of the matrix expresses f(a) as a signed sum of basis values, read
-    off the signs of the fundamental circuit of a.  The filter is a matrix of
-    signed circuit indicator rows, present only when the representation is not
-    known to be unimodular.
-    """
-    basis_mask = om.lex_basis_mask()
-    bcols = sorted(bits_of(basis_mask))
-    r, n = len(bcols), om.n
-    ext = np.zeros((n, r), dtype=np.int64)
-    for j, b in enumerate(bcols):
-        ext[b, j] = 1
-    if r:
-        fund = om.fundamental_circuits(basis_mask)
-        for a, c in fund.items():
-            # circuit has a on the positive side: f(a) = sum(neg) - sum(pos\{a})
-            for j, b in enumerate(bcols):
-                if c.neg >> b & 1:
-                    ext[a, j] = 1
-                elif c.pos >> b & 1:
-                    ext[a, j] = -1
-    filt = None
-    if om.tu_status == "not-tu":
-        rows = []
-        for c in om.circuits:
-            row = np.zeros(n, dtype=np.int64)
-            for i in bits_of(c.pos):
-                row[i] = 1
-            for i in bits_of(c.neg):
-                row[i] = -1
-            rows.append(row)
-        filt = np.array(rows, dtype=np.int64) if rows else None
-    return bcols, ext, filt
-
-
-def _digit_block(start: int, stop: int, q: int, r: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    if r == 0:
-        return np.zeros((stop - start, 0), dtype=np.int64)
-    cols = [(idx // q**j) % q for j in range(r)]
-    return np.stack(cols, axis=1)
-
-
-def _hist_range(ext, filt, q: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Histogram of (pos-count, neg-count, mid-count) over an index range."""
-    size = n + 1
-    acc = np.zeros(size * size * size, dtype=np.int64)
-    r = ext.shape[1]
-    half = q // 2
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        X = _digit_block(lo, hi, q, r)
-        V = (X @ ext.T) % q
-        if filt is not None and filt.size:
-            ok = np.all((V @ filt.T) % q == 0, axis=1)
-            V = V[ok]
-        if q % 2:
-            g = ((V >= 1) & (V <= half)).sum(axis=1)
-            l = (V > half).sum(axis=1)
-            h = np.zeros_like(g)
-        else:
-            g = ((V >= 1) & (V < half)).sum(axis=1)
-            h = (V == half).sum(axis=1)
-            l = (V > half).sum(axis=1)
-        code = (g * size + l) * size + h
-        acc += np.bincount(code, minlength=size * size * size)
-    return acc
-
-
-def _box_count(ext, filt, q, lo_val, hi_val, budget: int) -> int:
-    """Count assignments whose every extended value lies in [lo_val, hi_val]."""
-    if lo_val > hi_val:
-        # only the empty coflow of an empty ground set lies in an empty box
-        return int(ext.shape[0] == 0)
-    r = ext.shape[1]
-    total = 0
-    width = hi_val - lo_val + 1
-    stop = width**r
-    _check_budget(stop, budget)
-    for lo in range(0, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        if r == 0:
-            X = np.zeros((hi - lo, 0), dtype=np.int64)
-        else:
-            cols = [((idx // width**j) % width) + lo_val for j in range(r)]
-            X = np.stack(cols, axis=1)
-        V = (X @ ext.T) % q
-        ok = np.all((V >= lo_val) & (V <= hi_val), axis=1)
-        if filt is not None and filt.size:
-            ok &= np.all((V @ filt.T) % q == 0, axis=1)
-        total += int(ok.sum())
-    return total
-
-
-def _check_budget(amount: int, budget: int) -> None:
-    if amount > budget:
-        raise BudgetExceeded(amount, budget)
-
-
-# ---------------------------------------------------------------------------
-# interpolation in q and the memo
-# ---------------------------------------------------------------------------
-
-
-def _interpolated(vars, nodes, count_at, spares: dict, what: str) -> Poly:
-    """The polynomial over `vars` (q first) through counts at integer nodes.
-
-    `count_at(q)` maps monomials in the remaining variables to counts; each
-    monomial's coefficient is interpolated in q over `nodes`.  `spares` maps
-    spare nodes to counts found independently, which the result must
-    reproduce exactly, or the degree assumption was wrong.  Callers count the
-    spares first: they are the most expensive enumerations, so a budget trip
-    costs nothing instead of all the cheaper nodes.
-    """
-    evals = [count_at(q) for q in nodes]
-    monos = sorted({e for ev in evals for e in ev})
-    cols = interpolate_columns(nodes, [[ev.get(e, 0) for ev in evals] for e in monos])
-    poly = Poly(
-        vars, {(k, *e): c for e, col in zip(monos, cols) for k, c in col.items()}
-    )
-    for q, counts in spares.items():
-        if poly.subs_scalar("q", q) != Poly(vars[1:], counts):
-            raise DegreeSafetyCheckFailed(f"{what} at q={q}")
-    return poly
 
 
 _MEMO: dict = {}
@@ -192,6 +66,156 @@ def _memoized(fn):
 def clear_caches() -> None:
     """Forget every memoized result."""
     _MEMO.clear()
+
+
+# ---------------------------------------------------------------------------
+# extension machinery and the enumeration kernel
+# ---------------------------------------------------------------------------
+
+
+@_memoized
+def extension_matrix(om: OrientedMatroid):
+    """(basis columns, n x rank int64 extension matrix, circuit filter or None).
+
+    Row a of the matrix expresses f(a) as a signed sum of basis values, read
+    off the signs of the fundamental circuit of a.  The filter is a matrix of
+    signed circuit indicator rows, present only when the representation is not
+    known to be unimodular; it only removes non-coflows, so the memo may hand
+    it to another representation of the same signed circuits.  The memo shares
+    the arrays, so they are read-only.
+    """
+    basis_mask = om.lex_basis_mask()
+    bcols = sorted(bits_of(basis_mask))
+    r, n = len(bcols), om.n
+    ext = np.zeros((n, r), dtype=np.int64)
+    ext[bcols, range(r)] = 1
+    if r:
+        fund = om.fundamental_circuits(basis_mask)
+        for a, c in fund.items():
+            # circuit has a on the positive side: f(a) = sum(neg) - sum(pos\{a})
+            for j, b in enumerate(bcols):
+                if c.neg >> b & 1:
+                    ext[a, j] = 1
+                elif c.pos >> b & 1:
+                    ext[a, j] = -1
+    filt = None
+    if om.tu_status == "not-tu" and om.circuits:
+        filt = np.zeros((len(om.circuits), n), dtype=np.int64)
+        for i, c in enumerate(om.circuits):
+            filt[i, list(bits_of(c.pos))] = 1
+            filt[i, list(bits_of(c.neg))] = -1
+        filt.flags.writeable = False
+    ext.flags.writeable = False
+    return bcols, ext, filt
+
+
+def _check_budget(amount: int, budget: int) -> None:
+    if amount > budget:
+        raise BudgetExceeded(amount, budget)
+
+
+def _products(M, width: int, budget: int, lo: int = 0, start: int = 0, stop=None):
+    """Yield x @ M, in chunks of rows, for every x in {lo, ..., lo+width-1}^r.
+
+    `M` has r rows.  The points are indexed in mixed-radix order, lowest
+    coordinate fastest, and only indices in [start, stop) are produced; the
+    budget covers the whole grid.  The products of the lowest k coordinates
+    form one block of width^k <= _CHUNK rows; each chunk adds to it the
+    product of the higher coordinates, which is fixed within the block.
+    """
+    r, m = M.shape
+    total = width**r
+    _check_budget(total, budget)
+    stop = total if stop is None else stop
+    if start >= stop:
+        return
+    values = np.arange(lo, lo + width, dtype=np.int64)
+    block = np.zeros((1, m), dtype=np.int64)
+    k = 0
+    while k < r and len(block) * width <= _CHUNK:
+        # row x_0 + width*x_1 + ... + width^k*x_k of the grown block
+        block = (values[:, None, None] * M[k] + block).reshape(width * len(block), m)
+        k += 1
+    size = len(block)
+    for b in range(start // size, (stop - 1) // size + 1):
+        high = np.array([b // width**j % width + lo for j in range(r - k)], np.int64)
+        yield block[max(start - b * size, 0) : stop - b * size] + high @ M[k:]
+
+
+def _tally(stats, shape: tuple) -> np.ndarray:
+    """How often each tuple of statistics occurs, as an array of `shape`;
+    `stats` yields, chunk by chunk, one array of row values per statistic."""
+    acc = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    for cols in stats:
+        acc += np.bincount(np.ravel_multi_index(cols, shape), minlength=acc.size)
+    return acc.reshape(shape)
+
+
+def _decode(acc: np.ndarray) -> dict:
+    """{statistic tuple: count} over the nonzero cells of a tally, in order."""
+    nz = np.nonzero(acc)
+    return {tuple(map(int, key)): int(c) for *key, c in zip(*nz, acc[nz])}
+
+
+def _hist_range(ext, filt, q: int, n: int, budget: int, start: int = 0, stop=None):
+    """Tally of (pos-count, neg-count, mid-count) over a range of basis
+    assignments; the mid-count, of values equal to q/2, is 0 at odd q."""
+
+    def stats():
+        for P in _products(ext.T, q, budget, start=start, stop=stop):
+            V = P % q
+            if filt is not None:
+                V = V[np.all((V @ filt.T) % q == 0, axis=1)]
+            g = ((V >= 1) & (V <= (q - 1) // 2)).sum(axis=1)
+            l = (V > q // 2).sum(axis=1)
+            h = (V == q // 2).sum(axis=1) if q % 2 == 0 else np.zeros_like(g)
+            yield g, l, h
+
+    return _tally(stats(), (n + 1,) * 3)
+
+
+def _box_count(ext, filt, q, lo_val, hi_val, budget: int) -> int:
+    """Count assignments whose every extended value lies in [lo_val, hi_val]."""
+    total = 0
+    for P in _products(ext.T, hi_val - lo_val + 1, budget, lo=lo_val):
+        V = P % q
+        ok = np.all((V >= lo_val) & (V <= hi_val), axis=1)
+        if filt is not None:
+            ok &= np.all((V @ filt.T) % q == 0, axis=1)
+        total += int(ok.sum())
+    return total
+
+
+def _incidence(d: Digraph) -> np.ndarray:
+    """vertices x arcs: f @ M is f(head) - f(tail) per arc, 0 on a loop."""
+    return np.array(d.incidence_rows(), np.int64).reshape(d.vertices, len(d.arcs))
+
+
+# ---------------------------------------------------------------------------
+# interpolation in q
+# ---------------------------------------------------------------------------
+
+
+def _interpolated(vars, nodes, count_at, spares: dict, what: str) -> Poly:
+    """The polynomial over `vars` (q first) through counts at integer nodes.
+
+    `count_at(q)` maps monomials in the remaining variables to counts; each
+    monomial's coefficient is interpolated in q over `nodes`.  `spares` maps
+    spare nodes to counts found independently, which the result must
+    reproduce exactly, or the degree assumption was wrong.  Callers count the
+    spares first: they are the most expensive enumerations, so a budget trip
+    costs nothing instead of all the cheaper nodes.
+    """
+    evals = [count_at(q) for q in nodes]
+    monos = sorted({e for ev in evals for e in ev})
+    cols = interpolate_columns(nodes, [[ev.get(e, 0) for ev in evals] for e in monos])
+    poly = Poly(
+        vars, {(k, *e): c for e, col in zip(monos, cols) for k, c in col.items()}
+    )
+    for q, counts in spares.items():
+        if poly.subs_scalar("q", q) != Poly(vars[1:], counts):
+            raise DegreeSafetyCheckFailed(f"{what} at q={q}")
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +247,17 @@ def coflow_histogram(
     if q < 1:
         raise ValueError("q must be a positive integer")
     bcols, ext, filt = extension_matrix(om)
-    r = len(bcols)
-    total = q**r
+    total = q ** len(bcols)
     _check_budget(total, budget)
-    size = om.n + 1
     if jobs > 1 and total > 4 * _CHUNK:
         bounds = [total * k // jobs for k in range(jobs + 1)]
-        payloads = [
-            (ext, filt, q, bounds[k], bounds[k + 1], om.n) for k in range(jobs)
-        ]
-        acc = np.zeros(size**3, dtype=np.int64)
+        part = functools.partial(_hist_range, ext, filt, q, om.n, budget)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_hist_worker, payloads):
-                acc += part
+            acc = sum(pool.map(part, bounds[:-1], bounds[1:]))
     else:
-        acc = _hist_range(ext, filt, q, 0, total, om.n)
-    counts = []
-    for code in np.nonzero(acc)[0]:
-        code = int(code)
-        h = code % size
-        l = (code // size) % size
-        g = code // (size * size)
-        counts.append(((g, l, h), int(acc[code])))
-    counts.sort()
-    found = int(acc.sum())
-    return CoflowHistogram(q=q, n=om.n, counts=tuple(counts), total=found)
-
-
-def _hist_worker(payload):
-    return _hist_range(*payload)
+        acc = _hist_range(ext, filt, q, om.n, budget)
+    counts = tuple(_decode(acc).items())
+    return CoflowHistogram(q=q, n=om.n, counts=counts, total=int(acc.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +272,12 @@ def a_eval(
     if q % 2 == 0:
         raise ValueError("a_eval is defined at odd q")
     hist = coflow_histogram(om, q, budget=budget, jobs=jobs)
-    terms: dict = {}
+    terms = {}
     for (g, l, h), c in hist.counts:
-        assert h == 0
-        terms[(g, l)] = terms.get((g, l), 0) + c
-    return Poly(("y", "z"), {e: Fraction(c) for e, c in terms.items()})
+        if h:
+            raise InvariantViolated(f"a value equals q/2 at odd q={q}")
+        terms[(g, l)] = Fraction(c)
+    return Poly(("y", "z"), terms)
 
 
 @_memoized
@@ -370,8 +377,8 @@ def lattice_count(
             rows[i, a] = -1
     total = 0
     for start in range(0, width**om.n, _CHUNK):
-        stop = min(start + _CHUNK, width**om.n)
-        X = _digit_block(start, stop, width, om.n) + lo
+        idx = np.arange(start, min(start + _CHUNK, width**om.n), dtype=np.int64)
+        X = np.stack([idx // width**j % width for j in range(om.n)], axis=1) + lo
         ok = np.all((X @ rows.T) % q == 0, axis=1)
         total += int(ok.sum())
     return total
@@ -464,34 +471,18 @@ def digraph_a_eval(
     """
     if q % 2 == 0:
         raise ValueError("defined at odd q")
-    nv, arcs = d.vertices, d.arcs
-    total = q**nv
-    _check_budget(total, budget)
-    n = len(arcs)
-    half = q // 2
-    size = n + 1
-    acc = np.zeros(size * size, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        F = _digit_block(lo, hi, q, nv)
-        if n:
-            diffs = np.stack(
-                [(F[:, v] - F[:, u]) % q for (u, v) in arcs], axis=1
-            )
-            g = ((diffs >= 1) & (diffs <= half)).sum(axis=1)
-            l = (diffs > half).sum(axis=1)
-        else:
-            g = np.zeros(hi - lo, dtype=np.int64)
-            l = g
-        acc += np.bincount(g * size + l, minlength=size * size)
+
+    def stats():
+        for P in _products(_incidence(d), q, budget):
+            V = P % q
+            yield ((V >= 1) & (V <= q // 2)).sum(axis=1), (V > q // 2).sum(axis=1)
+
     denom = q ** d.components()
     terms = {}
-    for code in np.nonzero(acc)[0]:
-        code = int(code)
-        c = int(acc[code])
+    for e, c in _decode(_tally(stats(), (len(d.arcs) + 1,) * 2)).items():
         if c % denom:
             raise ArithmeticError("potential count not divisible by q^components")
-        terms[(code // size, code % size)] = Fraction(c // denom)
+        terms[e] = Fraction(c // denom)
     return Poly(("y", "z"), terms)
 
 
@@ -502,30 +493,13 @@ def b_poly(d: Digraph, budget: int = DEFAULT_BUDGET) -> Poly:
     all q^(vertices) colorings.  Nodes q = 1..vertices+1 pin the degree; two
     spare nodes are re-evaluated as a safety check.
     """
-    nv, arcs = d.vertices, d.arcs
-    n = len(arcs)
-    size = n + 1
+    nv, inc = d.vertices, _incidence(d)
+    shape = (len(d.arcs) + 1,) * 2
 
     def stats_at(q):
-        total = q**nv
-        _check_budget(total, budget)
-        acc = np.zeros(size * size, dtype=np.int64)
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            F = _digit_block(lo, hi, q, nv)
-            if n:
-                g = np.zeros(hi - lo, dtype=np.int64)
-                l = np.zeros(hi - lo, dtype=np.int64)
-                for (u, v) in arcs:
-                    g += F[:, u] > F[:, v]
-                    l += F[:, u] < F[:, v]
-            else:
-                g = np.zeros(hi - lo, dtype=np.int64)
-                l = g
-            acc += np.bincount(g * size + l, minlength=size * size)
-        return {
-            (int(c) // size, int(c) % size): int(acc[c]) for c in np.nonzero(acc)[0]
-        }
+        # a coloring times the incidence matrix is f(head) - f(tail) per arc
+        signs = (((P < 0).sum(1), (P > 0).sum(1)) for P in _products(inc, q, budget))
+        return _decode(_tally(signs, shape))
 
     return _interpolated(
         QYZ, list(range(1, nv + 2)), stats_at,

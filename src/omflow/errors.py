@@ -49,3 +49,7 @@ class NonPolynomialResult(OmflowError):
 
 class InvalidPartition(OmflowError):
     """A claimed element partition does not satisfy the pairing constraints."""
+
+
+class InvariantViolated(OmflowError):
+    """A mathematical invariant that must hold on every input did not hold."""

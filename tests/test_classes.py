@@ -1,7 +1,10 @@
 """Cocycle space, positive cocycles, and reorientation class counts."""
 
+import itertools
+
 import pytest
 
+from omflow import cocycles
 from omflow.algebra import f2_enumerate
 from omflow.cocycles import (
     alpha_signature,
@@ -12,7 +15,7 @@ from omflow.cocycles import (
     reorientation_classes,
     verify_class_counts,
 )
-from omflow.errors import BudgetExceeded
+from omflow.errors import BudgetExceeded, InvariantViolated
 from omflow.fixtures import doubled_matroid, get_fixture
 from omflow.matroid import Digraph, OrientedMatroid
 from omflow.tutte import tutte
@@ -145,3 +148,27 @@ def test_class_counts_skip_on_irregular_input():
     om, _ = get_fixture("U24")
     reports = verify_class_counts(om, "U24")
     assert [r.status for r in reports] == ["skip"]
+
+
+# Invariants are checked by exceptions, so `python -O` keeps them.  Each
+# test breaks one invariant by substituting a wrong helper.
+
+
+def test_mixed_acyclicity_in_a_class_raises(monkeypatch):
+    verdicts = itertools.cycle([True, False])
+    monkeypatch.setattr(cocycles, "_is_acyclic_flipped", lambda cs, s: next(verdicts))
+    # flipping a coloop's positive cocircuit joins both reorientations
+    with pytest.raises(InvariantViolated, match="mixed acyclicity"):
+        reorientation_classes(_om(2, [(0, 1)]), "all")
+
+
+def test_odd_signed_intersection_raises(monkeypatch):
+    monkeypatch.setattr(cocycles, "signed_intersection", lambda c, s: 1)
+    with pytest.raises(InvariantViolated, match="must be even"):
+        alpha_signature(TRIANGLE, 0)
+
+
+def test_signature_partition_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(cocycles, "alpha_signature", lambda om, s: s)
+    with pytest.raises(InvariantViolated, match="signature grouping"):
+        omega_counts(get_fixture("fig-cocycle-classes")[0])

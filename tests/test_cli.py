@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from omflow import cocycles
 from omflow.cli import main, parse_at
 from omflow.coflows import a_poly, clear_caches
 from omflow.fixtures import get_fixture
@@ -284,8 +285,17 @@ def test_corpus_export_named_matrix_files_are_frozen(tmp_path, capsys):
         {"arcs": [[0, 1]]},
         {"vertices": -1, "arcs": []},
         {"rows": [[1, 0], [0]]},
+        {"vertices": 2, "arcs": 5},
+        {"vertices": [1], "arcs": []},
+        {"rows": 3},
+        {"vertices": 2, "edges": [5]},
+        {"vertices": 2, "arcs": [[0, 1]], "labels": 7},
     ],
-    ids=["arcs-without-vertices", "negative-vertices", "ragged-rows"],
+    ids=[
+        "arcs-without-vertices", "negative-vertices", "ragged-rows",
+        "arcs-not-a-list", "vertices-not-an-int", "rows-not-a-list",
+        "edge-not-a-list", "labels-not-a-list",
+    ],
 )
 def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):
     f = tmp_path / "bad.json"
@@ -293,6 +303,17 @@ def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):
     code = main(["compute", "a", "--input", str(f)])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_invariant_violation_exits_1(monkeypatch, capsys):
+    # an odd signed intersection breaks the parity invariant of alpha_signature
+    monkeypatch.setattr(cocycles, "signed_intersection", lambda c, s: 1)
+    code = main(["verify", "--suite", "classes", "--input", "fig-cocycle-classes"])
+    captured = capsys.readouterr()
+    assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1

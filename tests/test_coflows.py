@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omflow import coflows
 from omflow.algebra import Poly
 from omflow.coflows import (
     a_even_poly,
@@ -319,6 +322,47 @@ class TestDigraphRoutes:
     def test_b_poly_degree(self):
         d = Digraph.make(3, [(0, 1), (1, 2), (2, 0)])
         assert b_poly(d).degree("q") <= 3
+
+    @pytest.mark.parametrize("nv", [0, 3])
+    def test_arcless_digraphs(self, nv):
+        d = Digraph.make(nv, [])
+        assert digraph_a_eval(d, 3) == Poly(YZ, {(0, 0): Q(1)})
+        assert b_poly(d) == Poly(QYZ, {(nv, 0, 0): Q(1)})
+
+
+class TestProducts:
+    @given(
+        r=st.integers(0, 4),
+        width=st.integers(1, 5),
+        lo=st.integers(0, 2),
+        chunk=st.integers(1, 9),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, r, width, lo, chunk, data):
+        m = data.draw(st.integers(0, 3))
+        M = np.array(
+            data.draw(st.lists(st.integers(-3, 3), min_size=r * m, max_size=r * m)),
+            dtype=np.int64,
+        ).reshape(r, m)
+        total = width**r
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start, total))
+        # the lowest coordinate varies fastest, so reverse product's tuples
+        grid = [p[::-1] for p in itertools.product(range(lo, lo + width), repeat=r)]
+        want = np.array(grid, dtype=np.int64).reshape(total, r)[start:stop] @ M
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coflows, "_CHUNK", chunk)
+            chunks = list(coflows._products(M, width, total, lo, start, stop))
+        assert all(0 < len(c) <= chunk for c in chunks)
+        got = np.concatenate(chunks) if chunks else np.zeros((0, m), dtype=np.int64)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_budget_covers_the_whole_grid(self):
+        M = np.ones((3, 2), dtype=np.int64)
+        with pytest.raises(BudgetExceeded):
+            next(coflows._products(M, 4, 63, start=0, stop=1))
 
 
 class TestMemo:

@@ -1,0 +1,18 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import omflow
+
+SOURCES = sorted(Path(omflow.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # `python -O` strips assert statements; invariants must raise instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}"
