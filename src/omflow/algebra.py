@@ -198,17 +198,6 @@ class Poly:
             out[tuple(ne)] = c
         return Poly(vars, out)
 
-    def drop_vars(self, names) -> "Poly":
-        """Forget variables that appear nowhere (exponent 0 in every term)."""
-        names = set(names)
-        keep = [i for i, v in enumerate(self.vars) if v not in names]
-        for e in self.terms:
-            for i, v in enumerate(self.vars):
-                if v in names and e[i] != 0:
-                    raise ValueError(f"variable {v} still occurs")
-        nvars = tuple(self.vars[i] for i in keep)
-        return Poly(nvars, {tuple(e[i] for i in keep): c for e, c in self.terms.items()})
-
     def as_scalar(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -323,10 +312,6 @@ class Poly:
         for t in obj["terms"]:
             terms[tuple(t["exp"])] = Fraction(int(t["num"]), int(t["den"]))
         return cls(vars, terms)
-
-    def key(self) -> tuple:
-        """Deterministic hashable key (used for memoization and comparisons)."""
-        return (self.vars, tuple(sorted(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -511,32 +496,36 @@ def mat_from_rows(rows) -> tuple:
     return tuple(tuple(as_frac(x) for x in row) for row in rows)
 
 
-def _eliminate(rows: list) -> int:
-    """In-place fraction Gaussian elimination; returns the rank."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
+def _eliminate(rows: list, cols=None) -> list:
+    """In-place Gauss-Jordan elimination over the rationals; returns the pivots.
+
+    Pivots are sought in the columns `cols` (default: every column), in that
+    order, so they are the first basis of those columns.  Afterwards row i is
+    1 at pivot i and 0 at every other pivot, so it expresses every column over
+    pivot i; the rows below the last pivot are 0 in every column of `cols` and
+    span the rest of the row space.
+    """
+    if cols is None:
+        cols = range(len(rows[0]) if rows else 0)
+    pivots: list = []
+    for col in cols:
+        k = len(pivots)
+        if k == len(rows):
+            break
+        for piv in range(k, len(rows)):
+            if rows[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = Fraction(1) / prow[col]
-        rows[rank] = prow = [x * inv for x in prow]
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = Fraction(1) / rows[k][col]
+        rows[k] = prow = [x * inv for x in rows[k]]
         for r in range(len(rows)):
-            if r != rank and rows[r][col]:
+            if r != k and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 def mat_rank(rows, cols=None) -> int:
@@ -545,7 +534,7 @@ def mat_rank(rows, cols=None) -> int:
         work = [[row[c] for c in cols] for row in rows]
     else:
         work = [list(row) for row in rows]
-    return _eliminate(work)
+    return len(_eliminate(work))
 
 
 def column_analysis(rows, cols) -> tuple:
@@ -558,18 +547,12 @@ def column_analysis(rows, cols) -> tuple:
     cols = list(cols)
     k = len(cols)
     work = [[row[c] for c in cols] for row in rows]
-    rank = _eliminate(work)
+    pivots = _eliminate(work)
+    rank = len(pivots)
     if rank != k - 1:
         return rank, None
     # nullity one: read the kernel off the reduced rows
-    pivots = []
-    for r in range(rank):
-        for c in range(k):
-            if work[r][c]:
-                pivots.append(c)
-                break
-    free = [c for c in range(k) if c not in pivots]
-    (fc,) = free
+    (fc,) = (c for c in range(k) if c not in pivots)
     vec = [Fraction(0)] * k
     vec[fc] = Fraction(1)
     for r, pc in enumerate(pivots):
@@ -604,11 +587,15 @@ def _det_int(sub) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def mat_is_tu(rows, exhaustive_limit: int = 6) -> str:
+TU_EXHAUSTIVE_LIMIT = 6
+
+
+def mat_is_tu(rows) -> str:
     """Total unimodularity check: "true", "false", or "unchecked".
 
-    Exhausts all square submatrices when min(#rows, #cols) is small enough,
-    otherwise reports "unchecked" and leaves the decision to the caller.
+    Exhausts all square submatrices when min(#rows, #cols) is at most
+    TU_EXHAUSTIVE_LIMIT, otherwise reports "unchecked" and leaves the
+    decision to the caller.
     """
     rows = mat_from_rows(rows)
     if not rows or not rows[0]:
@@ -618,7 +605,7 @@ def mat_is_tu(rows, exhaustive_limit: int = 6) -> str:
         for x in row:
             if x not in (-1, 0, 1):
                 return "false"
-    if min(nr, nc) > exhaustive_limit:
+    if min(nr, nc) > TU_EXHAUSTIVE_LIMIT:
         return "unchecked"
     irows = [[int(x) for x in row] for row in rows]
     for size in range(2, min(nr, nc) + 1):
@@ -629,26 +616,6 @@ def mat_is_tu(rows, exhaustive_limit: int = 6) -> str:
                 if _det_int(sub) not in (-1, 0, 1):
                     return "false"
     return "true"
-
-
-def mat_solve(rows, basis_cols, target_col):
-    """Solve A[:, basis] * x = A[:, target]; returns tuple of Fractions or None."""
-    basis_cols = list(basis_cols)
-    work = [[row[c] for c in basis_cols] + [row[target_col]] for row in rows]
-    k = len(basis_cols)
-    rank = _eliminate(work)
-    # inconsistent iff a pivot lies in the augmented column
-    sol = [Fraction(0)] * k
-    for r in range(rank):
-        pc = None
-        for c in range(k + 1):
-            if work[r][c]:
-                pc = c
-                break
-        if pc == k:
-            return None
-        sol[pc] = work[r][k]
-    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------

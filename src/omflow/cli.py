@@ -48,7 +48,7 @@ from .fixtures import (
 from .identities import SUITES, run_suites
 from .matroid import Digraph, OrientedMatroid
 from .pom import make_pom, t1, t2, verify_pom
-from .tutte import characteristic, potts, tutte
+from .tutte import potts, tutte
 
 IDENTITY_SUITES = tuple(SUITES)
 ALL_SUITES = IDENTITY_SUITES + ("pom", "classes")
@@ -226,9 +226,9 @@ def cmd_compute(args) -> int:
                 return 0
             parts = {None: a_poly(om, budget=args.budget, jobs=args.jobs)}
         elif what == "tutte":
-            parts = {None: tutte(om)}
+            parts = {None: tutte(om, budget=args.budget)}
         elif what == "potts":
-            parts = {None: potts(om)}
+            parts = {None: potts(om, budget=args.budget)}
         elif what == "char":
             cp = char_pair(om, budget=args.budget)
             parts = {"strict": cp.strict, "weak": cp.weak}

@@ -195,7 +195,7 @@ def verify_class_counts(
         detail = "" if ok else f"got {got}, want {want}"
         out.append(CheckReport(suite, label, name, "pass" if ok else "fail", detail))
 
-    t = tutte(om)
+    t = tutte(om, budget)
     check("all-classes-tutte-1-2", Fraction(rc_all.count), t.eval_frac({"x": 1, "y": 2}))
     check(
         "acyclic-classes-tutte-1-0",

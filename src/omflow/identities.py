@@ -195,7 +195,7 @@ def verify_tutte_relations(
 ) -> list:
     suite = "tutte"
     out = []
-    pt = potts(om)
+    pt = potts(om, budget)
     if om.tu_status == "not-tu":
         # negative control: for a non-regular sign pattern, the coflow count
         # must NOT reproduce the Potts polynomial

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    _eliminate,
     as_frac,
     column_analysis,
     mat_from_rows,
     mat_is_tu,
     mat_rank,
-    mat_solve,
 )
 from .errors import GroundTooLarge, NotABasis, NotTotallyUnimodular
 
@@ -107,12 +107,16 @@ def _check_axioms(circuits, n: int) -> None:
                 raise ValueError("circuit support strictly contains another")
 
 
-def _circuits_from_matrix(rows, n: int, cap: int = CIRCUIT_GROUND_CAP):
-    if n > cap:
-        raise GroundTooLarge(f"{n} elements exceeds the circuit enumeration cap {cap}")
+def _circuits_from_matrix(rows, n: int):
+    """(signed circuits, whether every circuit's kernel rescales to {-1,0,1})."""
+    if n > CIRCUIT_GROUND_CAP:
+        raise GroundTooLarge(
+            f"{n} elements exceeds the circuit enumeration cap {CIRCUIT_GROUND_CAP}"
+        )
     rank = mat_rank(rows)
     supports: list[int] = []
     out: list[SignedSubset] = []
+    unit = True
     for size in range(1, min(rank + 1, n) + 1):
         for cols in itertools.combinations(range(n), size):
             m = mask_of(cols)
@@ -121,6 +125,7 @@ def _circuits_from_matrix(rows, n: int, cap: int = CIRCUIT_GROUND_CAP):
             _, ker = column_analysis(rows, cols)
             if ker is None:
                 continue
+            unit = unit and _kernel_rescales_to_unit(ker)
             pos = neg = 0
             for c, v in zip(cols, ker):
                 if v > 0:
@@ -130,7 +135,7 @@ def _circuits_from_matrix(rows, n: int, cap: int = CIRCUIT_GROUND_CAP):
             out.append(SignedSubset(pos, neg).canonical())
             supports.append(m)
     out.sort(key=lambda c: (c.support, c.pos))
-    return tuple(out)
+    return tuple(out), unit
 
 
 def _kernel_rescales_to_unit(ker) -> bool:
@@ -178,7 +183,7 @@ class OrientedMatroid:
 
     @classmethod
     def from_matrix(
-        cls, rows, labels=None, tu_mode: str = "check", exhaustive_limit: int = 6
+        cls, rows, labels=None, tu_mode: str = "check"
     ) -> "OrientedMatroid":
         rows = mat_from_rows(rows)
         n = len(rows[0]) if rows else 0
@@ -191,35 +196,23 @@ class OrientedMatroid:
         if tu_mode not in ("check", "assume"):
             raise ValueError(f"unknown tu_mode {tu_mode!r}")
         if tu_mode == "check":
-            status = mat_is_tu(rows, exhaustive_limit)
+            status = mat_is_tu(rows)
             if status != "true":
                 raise NotTotallyUnimodular(
                     f"matrix is {status}; pass tu_mode='assume' to proceed anyway"
                 )
-            tu_status = "true"
-        else:
-            tu_status = "assumed"
-        circuits = _circuits_from_matrix(rows, n)
-        if tu_status == "assumed":
-            # guard: every circuit's kernel vector must rescale to {-1,0,1}
-            for c in circuits:
-                cols = sorted(bits_of(c.support))
-                _, ker = column_analysis(rows, cols)
-                if ker is None or not _kernel_rescales_to_unit(ker):
-                    tu_status = "not-tu"
-                    break
+        circuits, unit = _circuits_from_matrix(rows, n)
+        # an assumed matrix is guarded: every circuit's kernel vector must
+        # rescale to {-1,0,1}
+        tu_status = "true" if tu_mode == "check" else "assumed" if unit else "not-tu"
         return cls(labels, rows, tu_status, circuits, check_axioms=True)
 
     @classmethod
     def from_digraph(cls, d: "Digraph") -> "OrientedMatroid":
         # network matrices are totally unimodular; no exhaustive check needed
-        return cls(
-            d.labels,
-            d.incidence_rows(),
-            "true",
-            _circuits_from_matrix(d.incidence_rows(), len(d.arcs)),
-            check_axioms=True,
-        )
+        rows = d.incidence_rows()
+        circuits, _ = _circuits_from_matrix(rows, len(d.arcs))
+        return cls(d.labels, rows, "true", circuits, check_axioms=True)
 
     # -- basics ----------------------------------------------------------------
 
@@ -275,41 +268,11 @@ class OrientedMatroid:
     def canonical_key(self) -> tuple:
         return (self.n, tuple((c.pos, c.neg) for c in self.circuits))
 
-    def perm_canonical_key(self) -> tuple:
-        """Minimal canonical key over all relabelings of the elements."""
-        best = None
-        for perm in itertools.permutations(range(self.n)):
-            cs = tuple(
-                sorted(
-                    (
-                        mask_of(perm[i] for i in bits_of(c.pos)),
-                        mask_of(perm[i] for i in bits_of(c.neg)),
-                    )
-                    for c in (x.canonical() for x in self._permed(perm))
-                )
-            )
-            if best is None or cs < best:
-                best = cs
-        return (self.n, best)
-
-    def _permed(self, perm):
-        for c in self.circuits:
-            yield SignedSubset(
-                mask_of(perm[i] for i in bits_of(c.pos)),
-                mask_of(perm[i] for i in bits_of(c.neg)),
-            )
-
     # -- fundamental circuits --------------------------------------------------
 
     def lex_basis_mask(self) -> int:
         """Lexicographically first basis (greedy over element order)."""
-        m = 0
-        r = 0
-        for i in range(self.n):
-            if self.rank_of(m | 1 << i) > r:
-                m |= 1 << i
-                r += 1
-        return m
+        return mask_of(_eliminate([list(row) for row in self.rows]))
 
     def fundamental_circuits(self, basis_mask: int) -> dict:
         """Map each non-basis element a to its circuit inside basis+a.
@@ -317,16 +280,10 @@ class OrientedMatroid:
         The returned circuits place `a` on the positive side (not the stored
         canonical orientation).
         """
-        bcols = sorted(bits_of(basis_mask))
-        if len(bcols) != self.rank or self.rank_of(basis_mask) != self.rank:
-            raise NotABasis(f"columns {bcols} do not form a basis")
         out = {}
-        for a in range(self.n):
-            if basis_mask >> a & 1:
-                continue
-            x = mat_solve(self.rows, bcols, a)
+        for a, coeffs in self.fundamental_coefficients(basis_mask).items():
             pos, neg = 1 << a, 0
-            for b, coef in zip(bcols, x):
+            for b, coef in coeffs.items():
                 if coef > 0:
                     neg |= 1 << b
                 elif coef < 0:
@@ -335,12 +292,18 @@ class OrientedMatroid:
         return out
 
     def fundamental_coefficients(self, basis_mask: int) -> dict:
-        """Expansion coefficients of each non-basis column over the basis."""
+        """Expansion coefficients of each non-basis column over the basis.
+
+        One elimination seeks its pivots in the basis columns; NotABasis when
+        they are not all pivots or leave part of the row space.
+        """
         bcols = sorted(bits_of(basis_mask))
-        if len(bcols) != self.rank or self.rank_of(basis_mask) != self.rank:
+        work = [list(row) for row in self.rows]
+        pivots = _eliminate(work, bcols)
+        if pivots != bcols or any(any(row) for row in work[len(bcols) :]):
             raise NotABasis(f"columns {bcols} do not form a basis")
         return {
-            a: dict(zip(bcols, mat_solve(self.rows, bcols, a)))
+            a: {b: work[i][a] for i, b in enumerate(bcols)}
             for a in range(self.n)
             if not basis_mask >> a & 1
         }
@@ -350,30 +313,10 @@ class OrientedMatroid:
     def dual(self) -> "OrientedMatroid":
         if self._dual is not None:
             return self._dual
-        n, r = self.n, self.rank
+        n = self.n
         # row-reduce onto the lexicographically first basis
         work = [list(row) for row in self.rows]
-        pivots = []
-        rr = 0
-        for col in range(n):
-            piv = None
-            for i in range(rr, len(work)):
-                if work[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            work[rr], work[piv] = work[piv], work[rr]
-            inv = Fraction(1) / work[rr][col]
-            work[rr] = [x * inv for x in work[rr]]
-            for i in range(len(work)):
-                if i != rr and work[i][col]:
-                    f = work[i][col]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rr])]
-            pivots.append(col)
-            rr += 1
-            if rr == r:
-                break
+        pivots = _eliminate(work)
         nonbasis = [c for c in range(n) if c not in pivots]
         dual_rows = []
         for j in nonbasis:
@@ -382,12 +325,9 @@ class OrientedMatroid:
             for i, b in enumerate(pivots):
                 row[b] = -work[i][j]
             dual_rows.append(row)
+        circuits, _ = _circuits_from_matrix(mat_from_rows(dual_rows), n)
         dual_om = OrientedMatroid(
-            self.labels,
-            dual_rows,
-            self.tu_status,
-            _circuits_from_matrix(mat_from_rows(dual_rows), n),
-            check_axioms=True,
+            self.labels, dual_rows, self.tu_status, circuits, check_axioms=True
         )
         dual_om._dual = self
         if self.n <= 10:
@@ -403,30 +343,16 @@ class OrientedMatroid:
     def minor(self, delete: int = 0, contract: int = 0) -> "OrientedMatroid":
         """Delete and contract disjoint element sets.
 
-        Contraction pivots the lowest-index nonzero row of each contracted
-        column; contracted loops are simply removed.  Circuits come from the
-        parent's circuits (restriction plus support-minimal truncation), so no
-        fresh enumeration happens.
+        Contraction eliminates on the contracted columns and keeps the rows
+        below the pivots, which span the row vectors vanishing there;
+        contracted loops find no pivot, so contracting them equals deleting
+        them.  Circuits come from the parent's circuits (restriction plus
+        support-minimal truncation), so no fresh enumeration happens.
         """
         if delete & contract:
             raise ValueError("delete and contract sets overlap")
         work = [list(row) for row in self.rows]
-        for c in sorted(bits_of(contract)):
-            piv = None
-            for i, row in enumerate(work):
-                if row[c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue  # loop: contracting equals deleting
-            prow = work[piv]
-            inv = Fraction(1) / prow[c]
-            prow = [x * inv for x in prow]
-            work = [
-                [a - row[c] * b for a, b in zip(row, prow)]
-                for i, row in enumerate(work)
-                if i != piv
-            ]
+        work = work[len(_eliminate(work, sorted(bits_of(contract)))) :]
         kept = [i for i in range(self.n) if not (delete | contract) >> i & 1]
         new_rows = [[row[i] for i in kept] for row in work]
         if not new_rows:
@@ -511,7 +437,7 @@ class OrientedMatroid:
         labels = list(self.labels) + [lab + "'" for lab in self.labels]
         if not self.rows:
             rows = []
-        circuits = _circuits_from_matrix(mat_from_rows(rows), 2 * self.n)
+        circuits, _ = _circuits_from_matrix(mat_from_rows(rows), 2 * self.n)
         return OrientedMatroid(labels, rows, self.tu_status, circuits, check_axioms=True)
 
     def direct_sum(self, other: "OrientedMatroid") -> "OrientedMatroid":

@@ -521,7 +521,7 @@ def verify_pom(
             reference[mode],
         )
     if not p.single_blocks:
-        want = tutte(_underlying(p))
+        want = tutte(_underlying(p), budget)
         check("t1-matches-tutte", reference[1], want)
         check("t2-matches-tutte", reference[2], want)
     out.extend(pom_evaluations(p, name, budget=budget, jobs=jobs))

@@ -2,7 +2,8 @@
 
 These depend only on the rank function of the underlying matroid, never on
 signs, and serve as the independent reference side for the coflow-based
-identities.
+identities.  One walk over the 2^n element subsets counts them by (corank,
+nullity); `tutte` and `potts` expand that table once, term by term.
 """
 
 from __future__ import annotations
@@ -10,39 +11,52 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Poly
+from .coflows import DEFAULT_BUDGET
+from .errors import BudgetExceeded
 from .matroid import OrientedMatroid
 
 XY = ("x", "y")
 QY = ("q", "y")
 
 
-def tutte(om: OrientedMatroid) -> Poly:
-    """Corank-nullity subset expansion over all element subsets."""
-    x = Poly.variable(XY, "x")
-    y = Poly.variable(XY, "y")
+def _corank_nullity(om: OrientedMatroid, budget: int) -> dict:
+    """{(corank, nullity): number of element subsets with those values}."""
+    if 1 << om.n > budget:
+        raise BudgetExceeded(1 << om.n, budget)
     r = om.rank
-    total = Poly(XY, {})
+    counts: dict = {}
     for s in range(1 << om.n):
         rs = om.rank_of(s)
-        total = total + (x - 1) ** (r - rs) * (y - 1) ** (s.bit_count() - rs)
+        key = (r - rs, s.bit_count() - rs)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def tutte(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
+    """Corank-nullity expansion: sum_S (x-1)^(r-r(S)) (y-1)^(|S|-r(S))."""
+    x1 = Poly.variable(XY, "x") - 1
+    y1 = Poly.variable(XY, "y") - 1
+    total = Poly(XY, {})
+    for (a, b), c in _corank_nullity(om, budget).items():
+        total = total + c * x1**a * y1**b
     return total
 
 
-def potts(om: OrientedMatroid) -> Poly:
+def potts(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     """Partition-function form: sum_S y^(|E|-|S|) (1-y)^|S| q^(rank(E)-rank(S))."""
     q = Poly.variable(QY, "q")
     y = Poly.variable(QY, "y")
     r = om.rank
     total = Poly(QY, {})
-    for s in range(1 << om.n):
-        k = s.bit_count()
-        total = total + y ** (om.n - k) * (1 - y) ** k * q ** (r - om.rank_of(s))
+    for (a, b), c in _corank_nullity(om, budget).items():
+        k = r - a + b  # |S|
+        total = total + c * y ** (om.n - k) * (1 - y) ** k * q**a
     return total
 
 
-def characteristic(om: OrientedMatroid) -> Poly:
+def characteristic(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     """(-1)^rank * T(1-q, 0), as a univariate polynomial in q."""
-    t = tutte(om)
+    t = tutte(om, budget)
     qv = ("q",)
     one_minus_q = Poly.const(qv, 1) - Poly.variable(qv, "q")
     out = t.compose(qv, {"x": one_minus_q, "y": Fraction(0)})

@@ -19,7 +19,6 @@ from omflow.algebra import (
     mat_from_rows,
     mat_is_tu,
     mat_rank,
-    mat_solve,
     poly_div_linear,
     poly_div_linear_power,
 )
@@ -244,13 +243,6 @@ class TestMatrices:
         assert ker is None
         rank, ker = column_analysis(m, [0, 1])
         assert rank == 2 and ker is None
-
-    def test_solve(self):
-        m = mat_from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
-        assert mat_solve(m, [0, 1], 2) == (Q(1), Q(1))
-        assert mat_solve(m, [0, 1], 3) == (Q(1), Q(-1))
-        incons = mat_from_rows([[1, 0], [0, 1]])
-        assert mat_solve(incons, [0], 1) is None
 
     def test_tu_examples(self):
         ident = mat_from_rows([[1, 0], [0, 1]])

@@ -4,6 +4,7 @@ Commands run in-process through main(); frozen outputs pin the JSON
 serialization byte for byte.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 from omflow import cocycles
-from omflow.cli import main, parse_at
+from omflow.cli import build_parser, main, parse_at
 from omflow.coflows import a_poly, clear_caches
 from omflow.fixtures import get_fixture
 
@@ -339,3 +340,21 @@ def test_mixed_graph_all_directed_keeps_digraph(tmp_path, capsys):
         ],
         "vars": ["q", "y", "z"],
     }
+
+
+def _compute_choices():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (what,) = (a for a in sub.choices["compute"]._actions if a.dest == "what")
+    return what.choices
+
+
+@pytest.mark.parametrize("what", _compute_choices())
+def test_compute_respects_budget(capsys, what):
+    clear_caches()
+    code = main(["compute", what, "--input", "fig-exp-Apoly", "--budget", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

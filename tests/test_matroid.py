@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omflow.algebra import mat_from_rows
+from omflow.algebra import _eliminate, mat_from_rows
 from omflow.errors import GroundTooLarge, NotABasis, NotTotallyUnimodular
+from omflow.fixtures import get_fixture
 from omflow.matroid import (
     Digraph,
     OrientedMatroid,
@@ -17,6 +18,7 @@ from omflow.matroid import (
     digraph_from_json,
     mask_of,
     matrix_from_json,
+    reindex_mask,
 )
 
 Q = Fraction
@@ -38,6 +40,32 @@ def triangle():
 def u24_assumed():
     rows = [[1, 0, 1, 1], [0, 1, 1, -1]]
     return OrientedMatroid.from_matrix(rows, ["a", "b", "c", "d"], tu_mode="assume")
+
+
+NAMED = {name: get_fixture(name)[0] for name in ("U24", "R10")}
+
+
+def random_digraph_om(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(1, 5)
+    arcs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 7))]
+    return OrientedMatroid.from_digraph(Digraph.make(nv, arcs))
+
+
+# random digraphs, plus the non-regular U24 and the regular non-graphic R10
+instances = st.one_of(
+    st.integers(0, 10**6).map(random_digraph_om),
+    st.sampled_from(sorted(NAMED)).map(NAMED.get),
+)
+
+
+def greedy_basis(m, cols):
+    """First basis of `cols` in their order, by the rank oracle."""
+    chosen = 0
+    for c in cols:
+        if m.rank_of(chosen | 1 << c) > chosen.bit_count():
+            chosen |= 1 << c
+    return [c for c in cols if chosen >> c & 1]
 
 
 class TestSignedSubset:
@@ -165,7 +193,7 @@ class TestMinor:
         dele = mask_of(elems[: k // 2])
         contr = mask_of(elems[k // 2 : k])
         minor = m.minor(delete=dele, contract=contr)
-        fresh = _circuits_from_matrix(minor.rows, minor.n)
+        fresh, _ = _circuits_from_matrix(minor.rows, minor.n)
         assert minor.circuits == fresh
         assert minor.rank == m.rank_of(m.full_mask & ~dele) - m.rank_of(contr)
 
@@ -228,7 +256,58 @@ class TestStabilizerDoubling:
         assert len(m.circuits) == 2
 
 
+class TestEliminate:
+    @given(instances, st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_pivots_are_greedy_first_basis(self, m, rnd):
+        cols = rnd.sample(range(m.n), rnd.randint(0, m.n))
+        work = [list(row) for row in m.rows]
+        pivots = _eliminate(work, cols)
+        assert pivots == greedy_basis(m, cols)
+        # row i is the unit vector of pivot i on the pivots, rows below are 0
+        # on cols, and the row space is unchanged
+        for i, row in enumerate(work):
+            for j, p in enumerate(pivots):
+                assert row[p] == (i == j)
+            if i >= len(pivots):
+                assert not any(row[c] for c in cols)
+        both = work + [list(row) for row in m.rows]
+        assert len(_eliminate(work)) == len(_eliminate(both)) == m.rank
+
+    @given(instances)
+    @settings(max_examples=40, deadline=None)
+    def test_lex_basis_is_greedy(self, m):
+        b = m.lex_basis_mask()
+        assert b == mask_of(greedy_basis(m, range(m.n)))
+        assert b.bit_count() == m.rank == m.rank_of(b)
+
+    @given(instances, st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_contraction_rank(self, m, rnd):
+        contract = mask_of(rnd.sample(range(m.n), rnd.randint(0, m.n)))
+        minor = m.contract(contract)
+        kept = [i for i in range(m.n) if not contract >> i & 1]
+        rc = m.rank_of(contract)
+        for s in range(1 << m.n):
+            if not s & contract:
+                want = m.rank_of(s | contract) - rc
+                assert minor.rank_of(reindex_mask(s, kept)) == want
+
+
 class TestFundamentalCircuits:
+    def test_solve(self):
+        m = u24_assumed()
+        assert m.fundamental_coefficients(0b0011) == {
+            2: {0: 1, 1: 1},
+            3: {0: 1, 1: -1},
+        }
+
+    def test_coefficients_reject_non_basis(self):
+        m = u24_assumed()
+        for mask in (0b0001, 0b0111, 0):
+            with pytest.raises(NotABasis):
+                m.fundamental_coefficients(mask)
+
     def test_basis_and_circuits(self):
         m = triangle()
         b = m.lex_basis_mask()

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omflow.algebra import Poly
 from omflow.coflows import char_pair, coflow_histogram
+from omflow.errors import BudgetExceeded
+from omflow.fixtures import get_fixture
 from omflow.matroid import Digraph, OrientedMatroid, mask_of
 from omflow.tutte import characteristic, potts, potts_tutte_residual, tutte
 
@@ -23,6 +26,47 @@ def u24():
     return OrientedMatroid.from_matrix(
         [[1, 0, 1, 1], [0, 1, 1, -1]], ["a", "b", "c", "d"], tu_mode="assume"
     )
+
+
+NAMED = {name: get_fixture(name)[0] for name in ("U24", "R10")}
+
+
+def random_digraph_om(seed):
+    rng = random.Random(seed)
+    nv = rng.randint(1, 5)
+    arcs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 7))]
+    return OrientedMatroid.from_digraph(Digraph.make(nv, arcs))
+
+
+# random digraphs, plus the non-regular U24 and the regular non-graphic R10
+instances = st.one_of(
+    st.integers(0, 10**6).map(random_digraph_om),
+    st.sampled_from(sorted(NAMED)).map(NAMED.get),
+)
+
+
+class TestSubsetWalk:
+    @given(instances)
+    @settings(max_examples=30, deadline=None)
+    def test_tutte_and_potts_match_per_subset_expansion(self, om):
+        x, y = (Poly.variable(XY, v) for v in XY)
+        q, yq = (Poly.variable(("q", "y"), v) for v in ("q", "y"))
+        r = om.rank
+        want_t = Poly(XY, {})
+        want_p = Poly(("q", "y"), {})
+        for s in range(1 << om.n):
+            rs, k = om.rank_of(s), s.bit_count()
+            want_t = want_t + (x - 1) ** (r - rs) * (y - 1) ** (k - rs)
+            want_p = want_p + yq ** (om.n - k) * (1 - yq) ** k * q ** (r - rs)
+        assert tutte(om) == want_t
+        assert potts(om) == want_p
+
+    def test_budget_covers_every_subset(self):
+        om = triangle()
+        for fn in (tutte, potts, characteristic):
+            fn(om, budget=8)
+            with pytest.raises(BudgetExceeded):
+                fn(om, budget=7)
 
 
 class TestTutte:
