@@ -13,7 +13,6 @@ polynomial.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,15 +196,6 @@ class Poly:
                 ne[p] = x
             out[tuple(ne)] = c
         return Poly(vars, out)
-
-    def as_scalar(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            if all(x == 0 for x in e):
-                return c
-        raise ValueError("polynomial is not constant")
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -563,59 +553,6 @@ def column_analysis(rows, cols) -> tuple:
     if first < 0:
         vec = [-x for x in vec]
     return rank, tuple(vec)
-
-
-def _det_int(sub) -> int:
-    """Determinant of a small integer matrix by fraction-free elimination."""
-    m = [list(r) for r in sub]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-TU_EXHAUSTIVE_LIMIT = 6
-
-
-def mat_is_tu(rows) -> str:
-    """Total unimodularity check: "true", "false", or "unchecked".
-
-    Exhausts all square submatrices when min(#rows, #cols) is at most
-    TU_EXHAUSTIVE_LIMIT, otherwise reports "unchecked" and leaves the
-    decision to the caller.
-    """
-    rows = mat_from_rows(rows)
-    if not rows or not rows[0]:
-        return "true"
-    nr, nc = len(rows), len(rows[0])
-    for row in rows:
-        for x in row:
-            if x not in (-1, 0, 1):
-                return "false"
-    if min(nr, nc) > TU_EXHAUSTIVE_LIMIT:
-        return "unchecked"
-    irows = [[int(x) for x in row] for row in rows]
-    for size in range(2, min(nr, nc) + 1):
-        for rset in itertools.combinations(range(nr), size):
-            picked = [irows[r] for r in rset]
-            for cset in itertools.combinations(range(nc), size):
-                sub = [[prow[c] for c in cset] for prow in picked]
-                if _det_int(sub) not in (-1, 0, 1):
-                    return "false"
-    return "true"
 
 
 # ---------------------------------------------------------------------------

@@ -323,15 +323,8 @@ def cmd_corpus(args) -> int:
         path.write_text(json_dumps_canonical(obj) + "\n")
         entries.append(name)
 
-    def digraph_obj(d):
-        return {
-            "vertices": d.vertices,
-            "arcs": [[u, v] for u, v in d.arcs],
-            "labels": list(d.labels),
-        }
-
     for name, d in corpus_digraphs(args.corpus_max_vertices, args.corpus_max_arcs):
-        emit(name, digraph_obj(d))
+        emit(name, d.to_json_obj())
     for name, (nv, edges), _om in corpus_doubled(
         args.corpus_doubled_vertices, args.corpus_doubled_edges
     ):
@@ -343,7 +336,7 @@ def cmd_corpus(args) -> int:
         for name in fixture_names():
             om, d = get_fixture(name)
             if d is not None:
-                emit(name, digraph_obj(d))
+                emit(name, d.to_json_obj())
                 continue
             obj = {"rows": [[str(x) for x in row] for row in om.rows],
                    "labels": list(om.labels)}
@@ -389,10 +382,13 @@ def _add_common(sp, budget=True, jobs=True, assume=True):
                     help="work cap; exceeding it exits 3")
     if jobs:
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for coflow counting")
+                        help="worker processes for coflow counting, at most "
+                        "the number of CPUs")
     if assume:
         sp.add_argument("--assume-tu", action="store_true",
-                        help="accept a matrix input without the unimodularity check")
+                        help="keep a matrix input whose circuits do not certify "
+                        "it regular, instead of exiting 2; its coflow counts are "
+                        "then filtered by every circuit")
 
 
 def _add_corpus_caps(sp, poms=False):
@@ -411,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omflow",
         description="Exact coflow statistics and Tutte-style invariants "
-        "of digraphs and totally unimodular matrices.",
+        "of digraphs and of matrices that represent regular oriented matroids "
+        "(every circuit's kernel vector rescales to {-1, 0, 1}).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,15 +11,23 @@ block of rows, and yields each chunk as that block plus the fixed product of
 the higher coordinates, one broadcast add.  numpy does the heavy lifting, all
 in int64.
 
-For inputs whose representation failed the unimodularity guard, the
-fundamental-circuit extension is still a sound superset generator (the
-relations are necessary conditions), and the enumeration post-filters the
-extensions against every circuit condition.
+Each statistic tuple is encoded as one integer, the sum over a row of
+per-value weights looked up in a table, so a chunk is classified by one
+gather and one row sum and tallied by one bincount.
+
+On a regular input (every circuit's kernel vector rescales to {-1, 0, 1})
+every circuit is the sign-coefficient combination of the fundamental
+circuits, so the extension yields exactly the coflows.  For an input kept
+under tu_mode="assume" that fails this certificate, the fundamental-circuit
+extension is still a sound superset generator (the relations are necessary
+conditions), and the enumeration post-filters the extensions against every
+circuit condition.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +88,7 @@ def extension_matrix(om: OrientedMatroid):
     Row a of the matrix expresses f(a) as a signed sum of basis values, read
     off the signs of the fundamental circuit of a.  The filter is a matrix of
     signed circuit indicator rows, present only when the representation is not
-    known to be unimodular; it only removes non-coflows, so the memo may hand
+    certified regular; it only removes non-coflows, so the memo may hand
     it to another representation of the same signed circuits.  The memo shares
     the arrays, so they are read-only.
     """
@@ -142,12 +150,12 @@ def _products(M, width: int, budget: int, lo: int = 0, start: int = 0, stop=None
         yield block[max(start - b * size, 0) : stop - b * size] + high @ M[k:]
 
 
-def _tally(stats, shape: tuple) -> np.ndarray:
+def _tally(codes, shape: tuple) -> np.ndarray:
     """How often each tuple of statistics occurs, as an array of `shape`;
-    `stats` yields, chunk by chunk, one array of row values per statistic."""
+    `codes` yields, chunk by chunk, the raveled index of each row's tuple."""
     acc = np.zeros(int(np.prod(shape)), dtype=np.int64)
-    for cols in stats:
-        acc += np.bincount(np.ravel_multi_index(cols, shape), minlength=acc.size)
+    for c in codes:
+        acc += np.bincount(c, minlength=acc.size)
     return acc.reshape(shape)
 
 
@@ -161,17 +169,21 @@ def _hist_range(ext, filt, q: int, n: int, budget: int, start: int = 0, stop=Non
     """Tally of (pos-count, neg-count, mid-count) over a range of basis
     assignments; the mid-count, of values equal to q/2, is 0 at odd q."""
 
-    def stats():
+    # a value's weight in the raveled (g, l, h) index
+    w = np.zeros(q, dtype=np.int64)
+    w[1 : (q - 1) // 2 + 1] = (n + 1) ** 2
+    w[q // 2 + 1 :] = n + 1
+    if q % 2 == 0:
+        w[q // 2] = 1
+
+    def codes():
         for P in _products(ext.T, q, budget, start=start, stop=stop):
             V = P % q
             if filt is not None:
                 V = V[np.all((V @ filt.T) % q == 0, axis=1)]
-            g = ((V >= 1) & (V <= (q - 1) // 2)).sum(axis=1)
-            l = (V > q // 2).sum(axis=1)
-            h = (V == q // 2).sum(axis=1) if q % 2 == 0 else np.zeros_like(g)
-            yield g, l, h
+            yield w[V].sum(axis=1)
 
-    return _tally(stats(), (n + 1,) * 3)
+    return _tally(codes(), (n + 1,) * 3)
 
 
 def _box_count(ext, filt, q, lo_val, hi_val, budget: int) -> int:
@@ -249,6 +261,8 @@ def coflow_histogram(
     bcols, ext, filt = extension_matrix(om)
     total = q ** len(bcols)
     _check_budget(total, budget)
+    # the pool forks all its workers at once, so never more than the CPUs
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and total > 4 * _CHUNK:
         bounds = [total * k // jobs for k in range(jobs + 1)]
         part = functools.partial(_hist_range, ext, filt, q, om.n, budget)
@@ -472,14 +486,15 @@ def digraph_a_eval(
     if q % 2 == 0:
         raise ValueError("defined at odd q")
 
-    def stats():
-        for P in _products(_incidence(d), q, budget):
-            V = P % q
-            yield ((V >= 1) & (V <= q // 2)).sum(axis=1), (V > q // 2).sum(axis=1)
-
+    n = len(d.arcs)
+    # a value's weight in the raveled (g, l) index
+    w = np.zeros(q, dtype=np.int64)
+    w[1 : q // 2 + 1] = n + 1
+    w[q // 2 + 1 :] = 1
+    codes = (w[P % q].sum(axis=1) for P in _products(_incidence(d), q, budget))
     denom = q ** d.components()
     terms = {}
-    for e, c in _decode(_tally(stats(), (len(d.arcs) + 1,) * 2)).items():
+    for e, c in _decode(_tally(codes, (n + 1,) * 2)).items():
         if c % denom:
             raise ArithmeticError("potential count not divisible by q^components")
         terms[e] = Fraction(c // denom)
@@ -493,13 +508,16 @@ def b_poly(d: Digraph, budget: int = DEFAULT_BUDGET) -> Poly:
     all q^(vertices) colorings.  Nodes q = 1..vertices+1 pin the degree; two
     spare nodes are re-evaluated as a safety check.
     """
-    nv, inc = d.vertices, _incidence(d)
-    shape = (len(d.arcs) + 1,) * 2
+    nv, inc, n = d.vertices, _incidence(d), len(d.arcs)
 
     def stats_at(q):
-        # a coloring times the incidence matrix is f(head) - f(tail) per arc
-        signs = (((P < 0).sum(1), (P > 0).sum(1)) for P in _products(inc, q, budget))
-        return _decode(_tally(signs, shape))
+        # a coloring times the incidence matrix is f(head) - f(tail) per arc;
+        # a difference P weighs w[P + q - 1] in the raveled (descents, ascents)
+        w = np.zeros(2 * q - 1, dtype=np.int64)
+        w[: q - 1] = n + 1
+        w[q:] = 1
+        codes = (w[P + q - 1].sum(axis=1) for P in _products(inc, q, budget))
+        return _decode(_tally(codes, (n + 1,) * 2))
 
     return _interpolated(
         QYZ, list(range(1, nv + 2)), stats_at,

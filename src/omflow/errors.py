@@ -14,7 +14,8 @@ class DegreeExceedsHomogenizer(OmflowError):
 
 
 class NotTotallyUnimodular(OmflowError):
-    """A matrix required to be totally unimodular failed the check."""
+    """A matrix does not represent a regular oriented matroid: some circuit's
+    kernel vector does not rescale to {-1, 0, 1}."""
 
 
 class GroundTooLarge(OmflowError):

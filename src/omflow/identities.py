@@ -9,8 +9,8 @@ yields a :class:`CheckReport`; a suite is a list of them.
 Size policy: the partition-sum suites (expansions, reciprocity part one)
 walk 3^n partitions with a characteristic polynomial per minor, so they are
 restricted to n <= 8; every other suite runs on everything it is given.
-Instances whose representation is not known unimodular are skipped by
-default — for them the coflow machinery counts a different object, and the
+Instances kept under tu_mode="assume" whose circuits do not certify them
+regular are skipped by default — for them the coflow machinery counts a different object, and the
 one check that belongs on such inputs is the negative control in the tutte
 suite.
 """

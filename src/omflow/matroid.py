@@ -1,7 +1,11 @@
-"""Oriented matroids of totally unimodular matrices and digraphs.
+"""Oriented matroids of regular matrices and digraphs.
 
-Elements are matrix columns (or digraph arcs), indexed 0..n-1 and carried
-around as bitmasks.  A signed circuit is a pair of disjoint bitmasks
+A matrix is regular when every circuit's kernel vector rescales to
+{-1, 0, 1}: by Tutte's theorem on regular chain groups its kernel is then
+that of a totally unimodular matrix, so the circuit enumeration that builds
+every oriented matroid is also its regularity certificate.  Elements are
+matrix columns (or digraph arcs), indexed 0..n-1 and carried around as
+bitmasks.  A signed circuit is a pair of disjoint bitmasks
 (pos, neg); the stored circuit list keeps one representative per opposite
 pair {C, -C}, namely the one whose lowest support element is on the
 positive side, sorted for determinism.
@@ -13,14 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    _eliminate,
-    as_frac,
-    column_analysis,
-    mat_from_rows,
-    mat_is_tu,
-    mat_rank,
-)
+from .algebra import _eliminate, column_analysis, mat_from_rows, mat_rank
 from .errors import GroundTooLarge, NotABasis, NotTotallyUnimodular
 
 CIRCUIT_GROUND_CAP = 16
@@ -185,6 +182,13 @@ class OrientedMatroid:
     def from_matrix(
         cls, rows, labels=None, tu_mode: str = "check"
     ) -> "OrientedMatroid":
+        """Oriented matroid of the columns of `rows`.
+
+        The circuit enumeration certifies regularity: `tu_status` is "true"
+        when every circuit's kernel vector rescales to {-1, 0, 1}, else
+        "not-tu".  tu_mode="check" refuses a matrix that fails the
+        certificate with NotTotallyUnimodular; "assume" keeps it as "not-tu".
+        """
         rows = mat_from_rows(rows)
         n = len(rows[0]) if rows else 0
         if any(len(row) != n for row in rows):
@@ -195,24 +199,19 @@ class OrientedMatroid:
             raise ValueError("label count does not match column count")
         if tu_mode not in ("check", "assume"):
             raise ValueError(f"unknown tu_mode {tu_mode!r}")
-        if tu_mode == "check":
-            status = mat_is_tu(rows)
-            if status != "true":
-                raise NotTotallyUnimodular(
-                    f"matrix is {status}; pass tu_mode='assume' to proceed anyway"
-                )
         circuits, unit = _circuits_from_matrix(rows, n)
-        # an assumed matrix is guarded: every circuit's kernel vector must
-        # rescale to {-1,0,1}
-        tu_status = "true" if tu_mode == "check" else "assumed" if unit else "not-tu"
-        return cls(labels, rows, tu_status, circuits, check_axioms=True)
+        if not unit and tu_mode == "check":
+            raise NotTotallyUnimodular(
+                "matrix does not represent a regular oriented matroid: a circuit's "
+                "kernel vector does not rescale to {-1,0,1}; pass tu_mode='assume' "
+                "(--assume-tu) to keep it anyway"
+            )
+        status = "true" if unit else "not-tu"
+        return cls(labels, rows, status, circuits, check_axioms=True)
 
     @classmethod
     def from_digraph(cls, d: "Digraph") -> "OrientedMatroid":
-        # network matrices are totally unimodular; no exhaustive check needed
-        rows = d.incidence_rows()
-        circuits, _ = _circuits_from_matrix(rows, len(d.arcs))
-        return cls(d.labels, rows, "true", circuits, check_axioms=True)
+        return cls.from_matrix(d.incidence_rows(), d.labels)
 
     # -- basics ----------------------------------------------------------------
 
@@ -453,8 +452,8 @@ class OrientedMatroid:
             SignedSubset(c.pos << n1, c.neg << n1) for c in other.circuits
         ]
         circuits.sort(key=lambda c: (c.support, c.pos))
-        order = {"true": 2, "assumed": 1, "not-tu": 0}
-        status = min(self.tu_status, other.tu_status, key=order.get)
+        both = self.tu_status == other.tu_status == "true"
+        status = "true" if both else "not-tu"
         return OrientedMatroid(labels, rows, status, circuits)
 
     # -- flats ---------------------------------------------------------------------
@@ -586,16 +585,3 @@ class Digraph:
             "arcs": [[u, v] for u, v in self.arcs],
             "labels": list(self.labels),
         }
-
-
-def digraph_from_json(obj) -> Digraph:
-    return Digraph.make(int(obj["vertices"]), obj["arcs"], obj.get("labels"))
-
-
-def matrix_from_json(obj):
-    labels = [str(x) for x in obj["labels"]]
-    rows = [[as_frac(x) for x in row] for row in obj["rows"]]
-    for row in rows:
-        if len(row) != len(labels):
-            raise ValueError("row length does not match label count")
-    return mat_from_rows(rows), labels

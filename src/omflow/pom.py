@@ -54,9 +54,6 @@ class PartialOrientedMatroid:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_labels(self) -> tuple:
-        return tuple(self.om.labels[b[0]] for b in self.blocks)
-
     def __repr__(self) -> str:
         parts = []
         for b in self.blocks:
@@ -173,7 +170,7 @@ def _assemble(acc: dict, num_blocks: int, rank: int, mode: int) -> Poly:
         quo = poly_div_linear_power(total, "y", 1, rank)
     except NonPolynomialResult as e:
         # exact divisibility by (y-1)^rank is what regularity buys; inputs
-        # that dodged the unimodularity guard can land here
+        # kept without the regularity certificate can land here
         raise NonPolynomialResult(
             f"coflow sum is not divisible by (y-1)^{rank}: {e}"
         ) from None

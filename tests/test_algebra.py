@@ -17,7 +17,6 @@ from omflow.algebra import (
     interpolate_columns,
     json_dumps_canonical,
     mat_from_rows,
-    mat_is_tu,
     mat_rank,
     poly_div_linear,
     poly_div_linear_power,
@@ -243,29 +242,6 @@ class TestMatrices:
         assert ker is None
         rank, ker = column_analysis(m, [0, 1])
         assert rank == 2 and ker is None
-
-    def test_tu_examples(self):
-        ident = mat_from_rows([[1, 0], [0, 1]])
-        assert mat_is_tu(ident) == "true"
-        # a non-unimodular signing
-        bad = mat_from_rows([[1, 1], [-1, 1]])
-        assert mat_is_tu(bad) == "false"
-        entries = mat_from_rows([[2]])
-        assert mat_is_tu(entries) == "false"
-        # 7x7 identity exceeds the default exhaustive limit
-        big = mat_from_rows([[1 if i == j else 0 for j in range(7)] for i in range(7)])
-        assert mat_is_tu(big) == "unchecked"
-
-    def test_digraph_incidence_is_tu(self):
-        # incidence matrix of a 3-cycle plus a chord
-        m = mat_from_rows(
-            [
-                [-1, 0, -1, 1],
-                [1, -1, 0, 0],
-                [0, 1, 1, -1],
-            ]
-        )
-        assert mat_is_tu(m) == "true"
 
 
 class TestEisenstein:

@@ -14,7 +14,7 @@ import pytest
 from omflow import cocycles
 from omflow.cli import build_parser, main, parse_at
 from omflow.coflows import a_poly, clear_caches
-from omflow.fixtures import get_fixture
+from omflow.fixtures import U24_ROWS, get_fixture
 
 U24_TUTTE_JSON = {
     "terms": [
@@ -307,6 +307,31 @@ def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_non_regular_matrix_exits_2_with_one_line(tmp_path, capsys):
+    f = tmp_path / "u24.json"
+    f.write_text(json.dumps({"rows": U24_ROWS}))
+    code = main(["compute", "a", "--input", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix does not represent a regular")
+    assert captured.err.count("\n") == 1
+
+
+def test_assume_tu_keeps_a_certified_matrix_regular(tmp_path, capsys):
+    # two coloops with an entry outside {0, +-1}: the classes suite runs on it
+    # whether or not the input is assumed regular
+    f = tmp_path / "coloops.json"
+    f.write_text(json.dumps({"rows": [[1, "1/2"], [0, -1]]}))
+    for flags in ([], ["--assume-tu"]):
+        code, out = run_cli(
+            capsys, "verify", "--suite", "classes", "--input", str(f), *flags
+        )
+        assert code == 0
+        reports = json.loads(out)
+        assert reports and {r["status"] for r in reports} == {"pass"}
 
 
 def test_invariant_violation_exits_1(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,11 @@ from omflow.coflows import (
     coflow_histogram,
     digraph_a_eval,
     even_char_pair,
+    extension_matrix,
     lattice_count,
 )
 from omflow.errors import BudgetExceeded
-from omflow.fixtures import get_pom_fixture
+from omflow.fixtures import R10_ROWS, default_corpus, get_fixture, get_pom_fixture
 from omflow.matroid import Digraph, OrientedMatroid
 from omflow.pom import t1
 
@@ -102,9 +104,71 @@ class TestHistograms:
         with pytest.raises(BudgetExceeded):
             coflow_histogram(triangle(), 5, budget=10)
 
+    def test_jobs_never_exceed_the_cpus(self, monkeypatch):
+        # a process pool forks all its workers at once; this one records its
+        # size, refuses more workers than CPUs and maps serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                if max_workers > 3:
+                    raise RuntimeError(f"{max_workers} workers on 3 CPUs")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(coflows, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(coflows.os, "cpu_count", lambda: 3)
+        om = get_fixture("R10")[0]
+        assert 13**om.rank > 4 * coflows._CHUNK
+        assert coflow_histogram(om, 13, jobs=10**6) == coflow_histogram(om, 13)
+        assert sizes == [3]
+
     def test_json_shape(self):
         obj = coflow_histogram(digon(), 5).to_json_obj()
         assert obj == {"q": 5, "counts": [[0, 0, 1], [1, 1, 4]]}
+
+
+class TestCircuitFilter:
+    """On a certified input every circuit is the sign combination of the
+    fundamental circuits, so the circuit filter removes nothing."""
+
+    # upper triangular with a nonzero diagonal, so invertible
+    G = [
+        [2, 1, 0, -1, 0],
+        [0, 1, 3, 0, 0],
+        [0, 0, -1, 0, 2],
+        [0, 0, 0, 3, 1],
+        [0, 0, 0, 0, 1],
+    ]
+
+    def accepted(self):
+        corpus = default_corpus(3, 4, 4, 3, include_named=False)
+        yield from (om for _, om, _ in itertools.islice(corpus, 0, None, 6))
+        yield get_fixture("R10")[0]
+        moved = [[sum(g * r for g, r in zip(grow, col)) for col in zip(*R10_ROWS)]
+                 for grow in self.G]
+        yield OrientedMatroid.from_matrix(moved)
+
+    def test_filter_removes_nothing(self):
+        for om in self.accepted():
+            assert om.tu_status == "true"
+            filtered = OrientedMatroid(om.labels, om.rows, "not-tu", om.circuits)
+            for q in (3, 4, 5):
+                # the memo keys on the circuits, not the status
+                clear_caches()
+                want = coflow_histogram(om, q)
+                clear_caches()
+                assert (extension_matrix(filtered)[2] is None) == (not om.circuits)
+                assert coflow_histogram(filtered, q) == want
+        clear_caches()
 
 
 class TestAPoly:
@@ -272,6 +336,39 @@ class TestEvenAPoly:
 
     def test_odd_part_matches_a_poly(self):
         assert a_even_poly(triangle()).odd == a_poly(triangle())
+
+
+class TestStatisticsAgainstLoops:
+    """Each route's weight-table encoding against a per-value loop."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_three_routes(self, seed, q):
+        rng = random.Random(seed)
+        nv = rng.randint(1, 4)
+        arcs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randrange(6))]
+        d = Digraph.make(nv, arcs)
+        om = OrientedMatroid.from_digraph(d)
+        _, ext, _ = extension_matrix(om)
+        hist = Counter()
+        for x in itertools.product(range(q), repeat=ext.shape[1]):
+            vals = [int(v) % q for v in ext @ np.array(x, dtype=np.int64)]
+            g, l = sum(0 < v < q / 2 for v in vals), sum(v > q / 2 for v in vals)
+            hist[g, l, vals.count(q / 2)] += 1
+        assert coflow_histogram(om, q).as_dict() == dict(hist)
+        potentials, colorings = Counter(), Counter()
+        for f in itertools.product(range(q), repeat=nv):
+            diffs = [f[v] - f[u] for u, v in arcs]
+            mods = [x % q for x in diffs]
+            g, l = sum(0 < m < q / 2 for m in mods), sum(m > q / 2 for m in mods)
+            potentials[g, l] += 1
+            colorings[sum(x < 0 for x in diffs), sum(x > 0 for x in diffs)] += 1
+        if q % 2:
+            per = q ** d.components()
+            want = {e: Q(c // per) for e, c in potentials.items()}
+            assert digraph_a_eval(d, q).terms == want
+        want = {e: Q(c) for e, c in colorings.items()}
+        assert b_poly(d).subs_scalar("q", q).terms == want
 
 
 class TestDigraphRoutes:

@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omflow.algebra import _eliminate, mat_from_rows
+from omflow.algebra import _eliminate, json_dumps_canonical, mat_from_rows, mat_rank
+from omflow.cli import load_input
+from omflow.coflows import a_poly, clear_caches
 from omflow.errors import GroundTooLarge, NotABasis, NotTotallyUnimodular
-from omflow.fixtures import get_fixture
+from omflow.fixtures import U24_ROWS, get_fixture
 from omflow.matroid import (
     Digraph,
     OrientedMatroid,
     SignedSubset,
     _circuits_from_matrix,
     circuit_in_fundamental_span,
-    digraph_from_json,
     mask_of,
-    matrix_from_json,
     reindex_mask,
 )
+from omflow.tutte import tutte
 
 Q = Fraction
 
@@ -120,8 +121,8 @@ class TestConstruction:
         assert {(c.pos, c.neg) for c in m.circuits} == want
 
     def test_tu_check_rejects_bad_matrix(self):
-        with pytest.raises(NotTotallyUnimodular):
-            OrientedMatroid.from_matrix([[1, 1], [-1, 1]])
+        with pytest.raises(NotTotallyUnimodular, match="not represent a regular"):
+            OrientedMatroid.from_matrix(U24_ROWS)
 
     def test_ground_cap(self):
         with pytest.raises(GroundTooLarge):
@@ -347,13 +348,133 @@ class TestDigraph:
         d = Digraph.make(5, [(0, 1), (2, 3)])
         assert d.components() == 3  # {0,1}, {2,3}, {4}
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         d = Digraph.make(3, [(0, 1), (1, 2)], ["x", "y"])
-        assert digraph_from_json(d.to_json_obj()) == d
+        f = tmp_path / "d.json"
+        f.write_text(json_dumps_canonical(d.to_json_obj()))
+        kind, om, loaded = load_input(str(f))
+        assert kind == "om" and loaded == d
+        assert om.circuits == OrientedMatroid.from_digraph(d).circuits
 
-    def test_matrix_json(self):
-        rows, labels = matrix_from_json(
-            {"labels": ["a", "b"], "rows": [[1, "1/2"], [0, -1]]}
+    def test_matrix_json(self, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text('{"rows": [[1, "1/2"], [0, -1]], "labels": ["a", "b"]}')
+        kind, om, d = load_input(str(f))
+        assert (kind, d) == ("om", None)
+        assert om.labels == ("a", "b")
+        assert om.rows[0][1] == Q(1, 2)
+        assert om.tu_status == "true"
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def is_tu_brute_force(rows) -> bool:
+    """Is every square subdeterminant of `rows` in {-1, 0, 1}?"""
+    nr, nc = len(rows), len(rows[0])
+    for k in range(1, min(nr, nc) + 1):
+        for rs in itertools.combinations(range(nr), k):
+            for cs in itertools.combinations(range(nc), k):
+                if _det([[rows[i][j] for j in cs] for i in rs]) not in (-1, 0, 1):
+                    return False
+    return True
+
+
+def invertible(rng, k):
+    """A random invertible k x k integer matrix with entries in -3..3."""
+    while True:
+        g = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if mat_rank(mat_from_rows(g)) == k:
+            return g
+
+
+def times(g, rows):
+    cols = list(zip(*rows))
+    return [[sum(a * b for a, b in zip(grow, col)) for col in cols] for grow in g]
+
+
+# random digraph incidence matrices (labels, rows), plus R10
+matrices = st.one_of(
+    st.integers(0, 10**6).map(random_digraph_om),
+    st.just(NAMED["R10"]),
+).map(lambda om: (om.labels, [list(row) for row in om.rows]))
+
+
+class TestRegularity:
+    """The circuit enumeration is the regularity certificate."""
+
+    def test_tu_examples(self):
+        # matrices a subdeterminant scan refused, next to plain TU ones: a
+        # non-TU signing of two coloops, entries outside {0, +-1}, and a 7x7
+        # identity, all with circuits that rescale to {-1, 0, 1}
+        for rows in (
+            [[1, 0], [0, 1]],
+            [[1, 1], [-1, 1]],
+            [[2]],
+            [[1, "1/2"], [0, -1]],
+            [[1 if i == j else 0 for j in range(7)] for i in range(7)],
+        ):
+            assert OrientedMatroid.from_matrix(rows).tu_status == "true"
+
+    def test_digraph_incidence_is_tu(self):
+        # incidence matrix of a 3-cycle plus a chord
+        rows = [[-1, 0, -1, 1], [1, -1, 0, 0], [0, 1, 1, -1]]
+        assert OrientedMatroid.from_matrix(rows).tu_status == "true"
+        d = Digraph.make(3, [(0, 1), (1, 2), (0, 2), (2, 0)])
+        assert mat_from_rows(rows) == d.incidence_rows()
+        assert OrientedMatroid.from_digraph(d).tu_status == "true"
+
+    def test_non_regular_kept_only_when_assumed(self):
+        with pytest.raises(NotTotallyUnimodular):
+            OrientedMatroid.from_matrix([[1, 2]])
+        assert u24_assumed().tu_status == "not-tu"
+        ok = OrientedMatroid.from_matrix([[1, 1]])
+        assert ok.direct_sum(ok).tu_status == "true"
+        assert ok.direct_sum(u24_assumed()).tu_status == "not-tu"
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda nr: st.integers(1, 6).flatmap(
+                lambda nc: st.lists(
+                    st.lists(st.sampled_from((0, 0, 1, -1)), min_size=nc, max_size=nc),
+                    min_size=nr,
+                    max_size=nr,
+                )
+            )
         )
-        assert labels == ["a", "b"]
-        assert rows[0][1] == Q(1, 2)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_tu_matrix_passes(self, rows):
+        if is_tu_brute_force(rows):
+            assert OrientedMatroid.from_matrix(rows).tu_status == "true"
+
+    @given(matrices, st.integers(0, 10**6))
+    @settings(max_examples=12, deadline=None)
+    def test_invertible_row_transform_keeps_everything(self, instance, seed):
+        labels, rows = instance
+        moved = times(invertible(random.Random(seed), len(rows)), rows)
+
+        def build(rows):
+            clear_caches()
+            om = OrientedMatroid.from_matrix(rows, labels)
+            dual = om.dual()
+            return (
+                om.tu_status,
+                om.circuits,
+                dual.rows,
+                dual.circuits,
+                json_dumps_canonical(a_poly(om).to_json_obj()),
+                json_dumps_canonical(tutte(om).to_json_obj()),
+            )
+
+        want = build(rows)
+        assert want[0] == "true"
+        assert build(moved) == want
