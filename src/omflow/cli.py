@@ -377,18 +377,17 @@ def cmd_classes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, budget=True, jobs=True, assume=True):
+def _add_common(sp, jobs=True):
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="work cap; exceeding it exits 3")
     if jobs:
         sp.add_argument("--jobs", type=int, default=1,
                         help="worker processes for coflow counting, at most "
                         "the number of CPUs")
-    if assume:
-        sp.add_argument("--assume-tu", action="store_true",
-                        help="keep a matrix input whose circuits do not certify "
-                        "it regular, instead of exiting 2; its coflow counts are "
-                        "then filtered by every circuit")
+    sp.add_argument("--assume-tu", action="store_true",
+                    help="keep a matrix input whose circuits do not certify "
+                    "it regular, instead of exiting 2; its coflow counts are "
+                    "then filtered by every circuit")
 
 
 def _add_corpus_caps(sp, poms=False):

@@ -22,7 +22,7 @@ from .algebra import F2Space, f2_enumerate, f2_span
 from .coflows import DEFAULT_BUDGET, even_char_pair
 from .errors import BudgetExceeded, InvariantViolated
 from .identities import CheckReport
-from .matroid import OrientedMatroid
+from .matroid import OrientedMatroid, positive_union
 from .tutte import tutte
 
 
@@ -52,20 +52,6 @@ def is_positive_cocycle(om: OrientedMatroid, s: int, space: F2Space = None) -> b
     return space.contains(s) and all(
         signed_intersection(c, s) == 0 for c in om.circuits
     )
-
-
-def _is_acyclic_flipped(circuits, s: int) -> bool:
-    """Is the reorientation by `s` free of positive circuits?
-
-    Stored circuits are one representative per {C, -C}, so both signings
-    are tested.
-    """
-    for c in circuits:
-        if (c.neg & ~s) == 0 and (c.pos & s) == 0:
-            return False
-        if (c.pos & ~s) == 0 and (c.neg & s) == 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -128,7 +114,7 @@ def reorientation_classes(
     classes = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
     flags = []
     for cls in classes:
-        per_member = {_is_acyclic_flipped(om.circuits, s) for s in cls}
+        per_member = {not positive_union(om.circuits, s) for s in cls}
         # acyclicity is invariant under positive-cocycle reversal
         if len(per_member) != 1:
             raise InvariantViolated(f"mixed acyclicity in class {cls}")

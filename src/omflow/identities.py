@@ -37,7 +37,8 @@ from .coflows import (
     digraph_a_eval,
 )
 from .errors import BudgetExceeded
-from .matroid import Digraph, OrientedMatroid, bits_of, reindex_mask
+from .matroid import CIRCUIT_GROUND_CAP, Digraph, OrientedMatroid, bits_of
+from .matroid import positive_union, reindex_mask
 from .tutte import potts
 
 QYZ = ("q", "y", "z")
@@ -98,15 +99,6 @@ def swap_yz(p: Poly) -> Poly:
         return tuple(e)
 
     return Poly(p.vars, {sw(e): c for e, c in p.terms.items()})
-
-
-def minor_reoriented(
-    om: OrientedMatroid, delete: int = 0, contract: int = 0, flip: int = 0
-) -> OrientedMatroid:
-    """Minor with a reorientation applied to the surviving elements."""
-    sub = om.minor(delete=delete, contract=contract)
-    kept = [i for i in range(om.n) if not (delete | contract) >> i & 1]
-    return sub.reorient(reindex_mask(flip, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +211,7 @@ def verify_tutte_relations(
         return out
 
     # (a) doubling: statistics of the doubled matroid = potts at yz
-    if 2 * om.n <= 16:
+    if 2 * om.n <= CIRCUIT_GROUND_CAP:
         dbl = om.double()
         lhs = a_poly(dbl, budget=budget, jobs=jobs)
         yz_prod = Poly.variable(QYZ, "y") * Poly.variable(QYZ, "z")
@@ -263,20 +255,6 @@ def _submasks(mask: int):
         if t == 0:
             return
         t = (t - 1) & mask
-
-
-def _classify_flipped(circ_masks: list, ground: int, t: int):
-    """(acyclic?, totally cyclic?) after reorienting the element set t.
-
-    circ_masks holds (pos, neg) bitmask pairs, one orientation per circuit.
-    """
-    union = 0
-    for pos, neg in circ_masks:
-        if (neg & ~t) == 0 and (pos & t) == 0:
-            union |= pos | neg
-        elif (pos & ~t) == 0 and (neg & t) == 0:
-            union |= pos | neg
-    return union == 0, union == ground
 
 
 def verify_expansions(
@@ -367,24 +345,22 @@ def verify_reciprocity(
         for R in range(1 << n):
             kept_mask = om.full_mask & ~R
             kept = [i for i in range(n) if not R >> i & 1]
-            circ_del = [(c.pos, c.neg) for c in om.circuits if not c.support & R]
+            circ_del = [c for c in om.circuits if not c.support & R]
             sgn_del = Fraction(-1) ** om.rank_of(kept_mask)
             mcon = om.contract(R)
-            circ_con = [(c.pos, c.neg) for c in mcon.circuits]
             ground_con = mcon.full_mask
             sgn_con = Fraction(-1) ** mcon.rank
             for T in _submasks(kept_mask):
                 st = ((kept_mask & ~T).bit_count(), T.bit_count())
-                acy, tc = _classify_flipped(circ_del, kept_mask, T)
-                if acy:
+                u = positive_union(circ_del, T)
+                if not u:
                     accs[0][st] = accs[0].get(st, Fraction(0)) + 1
-                if tc:
+                if u == kept_mask:
                     accs[1][st] = accs[1].get(st, Fraction(0)) + sgn_del
-                t_local = reindex_mask(T, kept)
-                acy, tc = _classify_flipped(circ_con, ground_con, t_local)
-                if acy:
+                u = positive_union(mcon.circuits, reindex_mask(T, kept))
+                if not u:
                     accs[2][st] = accs[2].get(st, Fraction(0)) + sgn_con
-                if tc:
+                if u == ground_con:
                     accs[3][st] = accs[3].get(st, Fraction(0)) + 1
         acy_del, tc_del, acy_con, tc_con = (
             Poly(YZ, {e: c for e, c in d.items() if c}) for d in accs

@@ -9,6 +9,15 @@ bitmasks.  A signed circuit is a pair of disjoint bitmasks
 (pos, neg); the stored circuit list keeps one representative per opposite
 pair {C, -C}, namely the one whose lowest support element is on the
 positive side, sorted for determinism.
+
+Fraction rows are the input format: the circuits are enumerated from them
+once, and every rank, basis and flat question is then answered from the
+full circuit list alone, for any matroid (Oxley, *Matroid Theory*):
+
+- a greedy pass over S in index order rejects e exactly when some circuit
+  C inside S has max(C) = e, so r(S) = |S| minus the number of such tops;
+- for e outside F, e lies in cl(F) exactly when some circuit C has
+  C minus F = {e}.
 """
 
 from __future__ import annotations
@@ -144,6 +153,18 @@ def _kernel_rescales_to_unit(ker) -> bool:
     return all(x == lead for x in nonzero)
 
 
+def positive_union(circuits, flip: int = 0) -> int:
+    """Union of the supports of the circuits that are positive, up to sign,
+    after reorienting the element set `flip`; empty exactly when that
+    reorientation is acyclic."""
+    union = 0
+    for c in circuits:
+        pos, neg = c.pos, c.neg
+        if not (neg & ~flip or pos & flip) or not (pos & ~flip or neg & flip):
+            union |= pos | neg
+    return union
+
+
 @dataclass(frozen=True)
 class Classification:
     cyclic_mask: int
@@ -160,8 +181,6 @@ class OrientedMatroid:
         "rows",
         "tu_status",
         "circuits",
-        "_rank",
-        "_rank_cache",
         "_dual",
     )
 
@@ -172,8 +191,6 @@ class OrientedMatroid:
         self.circuits = tuple(circuits)
         if check_axioms and self.n <= 12:
             _check_axioms(self.circuits, self.n)
-        self._rank = None
-        self._rank_cache = {}
         self._dual = None
 
     # -- construction --------------------------------------------------------
@@ -225,17 +242,20 @@ class OrientedMatroid:
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.rank_of(self.full_mask)
-        return self._rank
+        return self.rank_of(self.full_mask)
 
     def rank_of(self, mask: int) -> int:
-        cached = self._rank_cache.get(mask)
-        if cached is not None:
-            return cached
-        r = mat_rank(self.rows, cols=sorted(bits_of(mask)))
-        self._rank_cache[mask] = r
-        return r
+        return mask.bit_count() - self._circuit_tops(mask).bit_count()
+
+    def _circuit_tops(self, mask: int) -> int:
+        """Bitmask of max(C) over the circuits C inside `mask`: the elements
+        a greedy pass over `mask` in index order rejects."""
+        tops = 0
+        for c in self.circuits:
+            s = c.support
+            if not s & ~mask:
+                tops |= 1 << (s.bit_length() - 1)
+        return tops
 
     @property
     def loops_mask(self) -> int:
@@ -270,42 +290,25 @@ class OrientedMatroid:
     # -- fundamental circuits --------------------------------------------------
 
     def lex_basis_mask(self) -> int:
-        """Lexicographically first basis (greedy over element order)."""
-        return mask_of(_eliminate([list(row) for row in self.rows]))
+        """Lexicographically first basis: the elements that top no circuit."""
+        full = self.full_mask
+        return full & ~self._circuit_tops(full)
 
     def fundamental_circuits(self, basis_mask: int) -> dict:
-        """Map each non-basis element a to its circuit inside basis+a.
+        """Map each non-basis element a, in index order, to its circuit
+        inside basis+a: the one circuit with exactly a outside the basis.
 
         The returned circuits place `a` on the positive side (not the stored
-        canonical orientation).
+        canonical orientation).  NotABasis unless the mask is a basis.
         """
+        if not basis_mask.bit_count() == self.rank_of(basis_mask) == self.rank:
+            raise NotABasis(f"columns {list(bits_of(basis_mask))} do not form a basis")
         out = {}
-        for a, coeffs in self.fundamental_coefficients(basis_mask).items():
-            pos, neg = 1 << a, 0
-            for b, coef in coeffs.items():
-                if coef > 0:
-                    neg |= 1 << b
-                elif coef < 0:
-                    pos |= 1 << b
-            out[a] = SignedSubset(pos, neg)
-        return out
-
-    def fundamental_coefficients(self, basis_mask: int) -> dict:
-        """Expansion coefficients of each non-basis column over the basis.
-
-        One elimination seeks its pivots in the basis columns; NotABasis when
-        they are not all pivots or leave part of the row space.
-        """
-        bcols = sorted(bits_of(basis_mask))
-        work = [list(row) for row in self.rows]
-        pivots = _eliminate(work, bcols)
-        if pivots != bcols or any(any(row) for row in work[len(bcols) :]):
-            raise NotABasis(f"columns {bcols} do not form a basis")
-        return {
-            a: {b: work[i][a] for i, b in enumerate(bcols)}
-            for a in range(self.n)
-            if not basis_mask >> a & 1
-        }
+        for c in self.circuits:
+            rest = c.support & ~basis_mask
+            if rest & (rest - 1) == 0:
+                out[rest.bit_length() - 1] = c if c.pos & rest else -c
+        return dict(sorted(out.items()))
 
     # -- duality ----------------------------------------------------------------
 
@@ -403,15 +406,10 @@ class OrientedMatroid:
                 key=lambda c: (c.support, c.pos),
             )
         )
-        out = OrientedMatroid(self.labels, rows, self.tu_status, circuits)
-        out._rank = self._rank
-        return out
+        return OrientedMatroid(self.labels, rows, self.tu_status, circuits)
 
     def classify(self) -> Classification:
-        cyc = 0
-        for c in self.circuits:
-            if c.is_positive():
-                cyc |= c.support
+        cyc = positive_union(self.circuits)
         return Classification(
             cyclic_mask=cyc,
             acyclic_mask=self.full_mask & ~cyc,
@@ -459,9 +457,10 @@ class OrientedMatroid:
     # -- flats ---------------------------------------------------------------------
 
     def is_flat(self, mask: int) -> bool:
-        r = self.rank_of(mask)
-        for a in range(self.n):
-            if not mask >> a & 1 and self.rank_of(mask | 1 << a) == r:
+        """No circuit has exactly one element outside `mask`."""
+        for c in self.circuits:
+            rest = c.support & ~mask
+            if rest and not rest & (rest - 1):
                 return False
         return True
 

@@ -2,8 +2,10 @@
 
 These depend only on the rank function of the underlying matroid, never on
 signs, and serve as the independent reference side for the coflow-based
-identities.  One walk over the 2^n element subsets counts them by (corank,
-nullity); `tutte` and `potts` expand that table once, term by term.
+identities.  The rank function is read from the circuit list
+(`OrientedMatroid.rank_of`).  One walk over the 2^n element subsets counts
+them by (corank, nullity); `tutte` and `potts` expand that table once, term
+by term.
 """
 
 from __future__ import annotations

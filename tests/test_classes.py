@@ -155,8 +155,8 @@ def test_class_counts_skip_on_irregular_input():
 
 
 def test_mixed_acyclicity_in_a_class_raises(monkeypatch):
-    verdicts = itertools.cycle([True, False])
-    monkeypatch.setattr(cocycles, "_is_acyclic_flipped", lambda cs, s: next(verdicts))
+    unions = itertools.cycle([0, 0b1])
+    monkeypatch.setattr(cocycles, "positive_union", lambda cs, s: next(unions))
     # flipping a coloop's positive cocircuit joins both reorientations
     with pytest.raises(InvariantViolated, match="mixed acyclicity"):
         reorientation_classes(_om(2, [(0, 1)]), "all")

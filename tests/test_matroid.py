@@ -16,6 +16,7 @@ from omflow.matroid import (
     OrientedMatroid,
     SignedSubset,
     _circuits_from_matrix,
+    bits_of,
     circuit_in_fundamental_span,
     mask_of,
     reindex_mask,
@@ -61,12 +62,12 @@ instances = st.one_of(
 
 
 def greedy_basis(m, cols):
-    """First basis of `cols` in their order, by the rank oracle."""
-    chosen = 0
+    """First basis of `cols` in their order, by Fraction rank of the rows."""
+    chosen = []
     for c in cols:
-        if m.rank_of(chosen | 1 << c) > chosen.bit_count():
-            chosen |= 1 << c
-    return [c for c in cols if chosen >> c & 1]
+        if mat_rank(m.rows, cols=chosen + [c]) > len(chosen):
+            chosen.append(c)
+    return chosen
 
 
 class TestSignedSubset:
@@ -297,17 +298,18 @@ class TestEliminate:
 
 class TestFundamentalCircuits:
     def test_solve(self):
+        # columns c = a + b and d = a - b
         m = u24_assumed()
-        assert m.fundamental_coefficients(0b0011) == {
-            2: {0: 1, 1: 1},
-            3: {0: 1, 1: -1},
+        assert m.fundamental_circuits(0b0011) == {
+            2: SignedSubset(0b0100, 0b0011),
+            3: SignedSubset(0b1010, 0b0001),
         }
 
     def test_coefficients_reject_non_basis(self):
         m = u24_assumed()
         for mask in (0b0001, 0b0111, 0):
             with pytest.raises(NotABasis):
-                m.fundamental_coefficients(mask)
+                m.fundamental_circuits(mask)
 
     def test_basis_and_circuits(self):
         m = triangle()
@@ -338,9 +340,53 @@ class TestFundamentalCircuits:
 
     def test_unimodular_coefficients(self):
         for m in (triangle(), digon()):
-            coeffs = m.fundamental_coefficients(m.lex_basis_mask())
-            for d in coeffs.values():
-                assert all(v in (-1, 0, 1) for v in d.values())
+            work = [list(row) for row in m.rows]
+            pivots = _eliminate(work)
+            assert mask_of(pivots) == m.lex_basis_mask()
+            for row in work[: len(pivots)]:
+                assert all(v in (-1, 0, 1) for v in row)
+
+
+class TestCircuitOracle:
+    """Rank, lex basis, fundamental circuits and flats, read off the circuit
+    list, agree with Fraction elimination on the rows."""
+
+    @given(instances, st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_circuits_answer_like_elimination(self, m, rnd):
+        elems = list(range(m.n))
+        rnd.shuffle(elems)
+        k = rnd.randint(0, m.n)
+        derived = m.minor(delete=mask_of(elems[: k // 2]), contract=mask_of(elems[k // 2 : k]))
+        derived = derived.reorient(rnd.getrandbits(derived.n))
+        for om in (m, derived):
+            subsets = range(1 << om.n)
+            ranks = [mat_rank(om.rows, cols=sorted(bits_of(s))) for s in subsets]
+            assert [om.rank_of(s) for s in subsets] == ranks
+            assert om.rank == ranks[-1]
+
+            work = [list(row) for row in om.rows]
+            pivots = _eliminate(work)
+            b = om.lex_basis_mask()
+            assert b == mask_of(pivots)
+            want = {}
+            for a in range(om.n):
+                if not b >> a & 1:
+                    # column a = sum of work[i][a] * column pivots[i]
+                    pos, neg = 1 << a, 0
+                    for i, p in enumerate(pivots):
+                        if work[i][a] > 0:
+                            neg |= 1 << p
+                        elif work[i][a] < 0:
+                            pos |= 1 << p
+                    want[a] = SignedSubset(pos, neg)
+            assert list(om.fundamental_circuits(b).items()) == list(want.items())
+
+            for s in subsets:
+                closed = all(
+                    ranks[s | 1 << a] > ranks[s] for a in range(om.n) if not s >> a & 1
+                )
+                assert om.is_flat(s) == closed
 
 
 class TestDigraph:

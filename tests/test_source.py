@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,51 @@ def test_tu_status_comparisons_use_known_states():
     assert found, "no comparison with tu_status found"
     unknown = [f for f in found if f[2] not in ("true", "not-tu")]
     assert unknown == [], f"unknown tu_status states compared: {unknown}"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _worker_names():
+    """Dotted `module.attr...` chains that perfbench/worker.py reads from
+    the omflow modules it binds with `modules(...)`."""
+    tree = ast.parse((PERFBENCH / "worker.py").read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "modules"
+        ):
+            names = [t.id for t in node.targets[0].elts]
+            bound.update(zip(names, (a.value for a in node.value.args)))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            yield bound[node.id], chain
+
+
+def test_benchmark_names_exist():
+    # the benchmark wraps and calls these names; deleting one must fail here
+    # rather than crash the benchmark or drop its metrics as absent
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = [(mod, [attr]) for mod, attrs in tracer.FUNCTIONS.items() for attr in attrs]
+    wanted += [
+        (mod, [cls, attr]) for (mod, cls), attrs in tracer.METHODS.items() for attr in attrs
+    ]
+    worker = list(_worker_names())
+    assert ("algebra", ["mat_rank"]) in worker
+    wanted += [(f"omflow.{mod}", chain) for mod, chain in worker]
+    missing = []
+    for mod, chain in wanted:
+        obj = importlib.import_module(mod)
+        for attr in chain:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(".".join([mod, *chain]))
+    assert missing == []
