@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import json_dumps_canonical
+from .algebra import as_frac, json_dumps_canonical
 from .coflows import (
     DEFAULT_BUDGET,
     a_eval,
@@ -63,14 +63,13 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _pom_from_pairs(om: OrientedMatroid, pairs):
+def _pom_from_pairs(om: OrientedMatroid, pairs, source: str):
     """Ground partition from label pairs; unlisted elements stay oriented."""
     index = {lab: i for i, lab in enumerate(om.labels)}
     blocks = []
     used = set()
-    for pair in pairs:
-        if len(pair) != 2:
-            raise CliError(f"pair {pair!r} does not have two labels")
+    for pair in _list(pairs, f"{source}: 'pairs'"):
+        _list(pair, f"{source}: pair {json.dumps(pair)}", length=2)
         try:
             b = tuple(index[str(lab)] for lab in pair)
         except KeyError as e:
@@ -84,7 +83,48 @@ def _pom_from_pairs(om: OrientedMatroid, pairs):
 def _vertex_count(obj, source: str) -> int:
     if "vertices" not in obj:
         raise CliError(f"{source}: a graph input needs the key 'vertices'")
-    return int(obj["vertices"])
+    return _integer(obj["vertices"], f"{source}: 'vertices'")
+
+
+def _integer(x, what: str) -> int:
+    # JSON true and false arrive as Python bools, which are ints
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise CliError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
+
+
+def _rational(x, what: str) -> Fraction:
+    """An integer or a string such as "-3/7"; floats are inexact."""
+    if not isinstance(x, bool):
+        try:
+            return as_frac(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise CliError(f"{what} must be an integer or a rational string, not {json.dumps(x)}")
+
+
+def _list(x, what: str, length=None) -> list:
+    if not isinstance(x, list) or length not in (None, len(x)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise CliError(f"{what} must be {shape}, got {json.dumps(x)}")
+    return x
+
+
+def _labels(obj, source: str):
+    """The optional "labels": distinct strings, as many as the elements."""
+    if "labels" not in obj:
+        return None
+    labels = _list(obj["labels"], f"{source}: 'labels'")
+    if not all(isinstance(x, str) for x in labels):
+        raise CliError(f"{source}: 'labels' must be strings, got {json.dumps(labels)}")
+    if len(set(labels)) != len(labels):
+        raise CliError(f"{source}: 'labels' repeats a label: {json.dumps(labels)}")
+    return labels
+
+
+def _arc(a, what: str) -> tuple:
+    u, v = _list(a, what, length=2)
+    return _integer(u, what), _integer(v, what)
 
 
 def load_input(source: str, assume_tu: bool = False):
@@ -119,30 +159,42 @@ def load_input(source: str, assume_tu: bool = False):
 
 
 def _from_json(obj: dict, source: str, assume_tu: bool):
+    labels = _labels(obj, source)
     if "edges" in obj:
         directed, undirected = [], []
-        for e in obj["edges"]:
-            if len(e) != 3 or e[2] not in ("directed", "undirected"):
+        for e in _list(obj["edges"], f"{source}: 'edges'"):
+            what = f"{source}: edge {json.dumps(e)}"
+            *arc, kind = _list(e, what, length=3)
+            if kind not in ("directed", "undirected"):
                 raise CliError(f"edge {e!r} is not [u, v, 'directed'|'undirected']")
-            (directed if e[2] == "directed" else undirected).append((e[0], e[1]))
-        nv, labels = _vertex_count(obj, source), obj.get("labels")
+            (directed if kind == "directed" else undirected).append(_arc(arc, what))
+        nv = _vertex_count(obj, source)
         p = pom_graph(nv, directed, undirected, labels)
         if p.pair_blocks:
             return ("pom", p)
         return ("om", p.om, Digraph.make(nv, directed, labels))
     if "arcs" in obj:
-        d = Digraph.make(_vertex_count(obj, source), obj["arcs"], obj.get("labels"))
+        arcs = [
+            _arc(a, f"{source}: arc {json.dumps(a)}")
+            for a in _list(obj["arcs"], f"{source}: 'arcs'")
+        ]
+        d = Digraph.make(_vertex_count(obj, source), arcs, labels)
         om = OrientedMatroid.from_digraph(d)
         if "pairs" in obj:
-            return ("pom", _pom_from_pairs(om, obj["pairs"]))
+            return ("pom", _pom_from_pairs(om, obj["pairs"], source))
         return ("om", om, d)
     if "rows" in obj:
+        entry = f"{source}: matrix entry"
+        rows = [
+            [_rational(x, entry) for x in _list(row, f"{source}: a row")]
+            for row in _list(obj["rows"], f"{source}: 'rows'")
+        ]
         assume = assume_tu or bool(obj.get("assume_tu"))
         om = OrientedMatroid.from_matrix(
-            obj["rows"], labels=obj.get("labels"), tu_mode="assume" if assume else "check"
+            rows, labels=labels, tu_mode="assume" if assume else "check"
         )
         if "pairs" in obj:
-            return ("pom", _pom_from_pairs(om, obj["pairs"]))
+            return ("pom", _pom_from_pairs(om, obj["pairs"], source))
         return ("om", om, None)
     raise CliError(
         f"{source}: expected one of the keys 'arcs', 'rows', 'edges' "

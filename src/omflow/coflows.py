@@ -4,29 +4,39 @@ A mod-q coflow assigns a residue to every element so that, around every
 circuit, the sum over the positive side equals the sum over the negative
 side.  Fixing a basis, every coflow is determined by its basis values via the
 fundamental-circuit relations, so enumeration walks the q^rank basis
-assignments and maps each through the integer extension matrix.  One kernel,
-`_products`, walks this grid, the boxes of basis values and the vertex
-potentials of digraphs alike: it multiplies the lowest coordinates once, as a
-block of rows, and yields each chunk as that block plus the fixed product of
-the higher coordinates, one broadcast add.  numpy does the heavy lifting, all
-in int64.
+assignments and maps each through the integer extension matrix.
 
-Each statistic tuple is encoded as one integer, the sum over a row of
-per-value weights looked up in a table, so a chunk is classified by one
-gather and one row sum and tallied by one bincount.
+Every statistic counted here is separable: a point x of the grid gets the
+code sum_e T[(x @ M)_e], one integer that ravels the statistic tuple, where
+T is a table over the finite range of product values.  The table absorbs
+the arithmetic: the residue mod q, the sign-class weights of the histograms
+and of the digraph potentials, the sign of a coloring difference, and the
+box membership of the one-sided counts (1 outside the box; code 0 counts).
+One kernel, `_codes`, walks this grid, the boxes of basis values and the
+vertex potentials of digraphs alike.  The lowest coordinates form one block
+of rows and the higher ones are fixed within each chunk, so each column of M
+falls in one of three classes, decided once per call: a column with no
+entry in the high rows is summed once into a base code for the block; one
+with no entry in the low rows adds one scalar per chunk; only a mixed column
+costs work per chunk, one `take` of its block index column from the table
+sliced at that chunk's offset.  Each chunk is tallied by one bincount.
+numpy does the heavy lifting, all in int64.
 
 On a regular input (every circuit's kernel vector rescales to {-1, 0, 1})
 every circuit is the sign-coefficient combination of the fundamental
 circuits, so the extension yields exactly the coflows.  For an input kept
 under tu_mode="assume" that fails this certificate, the fundamental-circuit
 extension is still a sound superset generator (the relations are necessary
-conditions), and the enumeration post-filters the extensions against every
-circuit condition.
+conditions), and the enumeration filters the extensions against every
+circuit condition.  The filter is more columns of M: the circuit sums of the
+extended values, whose table sends any nonzero residue to a sentinel code
+that the tally drops.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -122,40 +132,77 @@ def _check_budget(amount: int, budget: int) -> None:
         raise BudgetExceeded(amount, budget)
 
 
-def _products(M, width: int, budget: int, lo: int = 0, start: int = 0, stop=None):
-    """Yield x @ M, in chunks of rows, for every x in {lo, ..., lo+width-1}^r.
+def _codes(parts, width: int, size: int, budget: int, lo=0, start=0, stop=None):
+    """Yield, chunk by chunk, the code of every x in {lo, ..., lo+width-1}^r.
 
-    `M` has r rows.  The points are indexed in mixed-radix order, lowest
-    coordinate fastest, and only indices in [start, stop) are produced; the
-    budget covers the whole grid.  The products of the lowest k coordinates
-    form one block of width^k <= _CHUNK rows; each chunk adds to it the
-    product of the higher coordinates, which is fixed within the block.
+    `parts` is a list of (M, f): M has r rows, and f maps an array of
+    integers to their codes; it must accept every integer up to the largest
+    product in absolute value.  The code of x is the sum, over the columns e
+    of every part, of f((x @ M)_e), clipped at `size`: that sentinel bin is
+    the one `_tally` drops.  The points are indexed in mixed-radix order,
+    lowest coordinate fastest, and only indices in [start, stop) are coded;
+    the budget covers the whole grid.  The lowest k coordinates form one
+    block of width^k <= _CHUNK rows, and each chunk of the grid fixes the
+    higher ones; the module docstring has the three classes of columns.
     """
+    M = np.concatenate([Mp for Mp, _ in parts], axis=1)
     r, m = M.shape
     total = width**r
     _check_budget(total, budget)
     stop = total if stop is None else stop
     if start >= stop:
         return
-    values = np.arange(lo, lo + width, dtype=np.int64)
-    block = np.zeros((1, m), dtype=np.int64)
+    # every product lies in [-bound, bound]; the parts' tables over that range
+    # lie end to end, so off[e] + p indexes the code of product p in column e
+    reach = max(abs(lo), abs(lo + width - 1))
+    bound = reach * int(np.abs(M).sum(axis=0).max(initial=0))
+    products = np.arange(-bound, bound + 1)
+    table = np.concatenate([f(products) for _, f in parts])
+    off = [bound + i * len(products) for i, (Mp, _) in enumerate(parts) for _ in Mp.T]
+    # only a code that can reach the sentinel needs clipping
+    clip = int(table.max(initial=0)) * m >= size
+
     k = 0
-    while k < r and len(block) * width <= _CHUNK:
-        # row x_0 + width*x_1 + ... + width^k*x_k of the grown block
-        block = (values[:, None, None] * M[k] + block).reshape(width * len(block), m)
+    while k < r and width ** (k + 1) <= _CHUNK:
         k += 1
-    size = len(block)
-    for b in range(start // size, (stop - 1) // size + 1):
-        high = np.array([b // width**j % width + lo for j in range(r - k)], np.int64)
-        yield block[max(start - b * size, 0) : stop - b * size] + high @ M[k:]
+    values = np.arange(lo, lo + width, dtype=np.int64)
+    # row x_0 + width*x_1 + ... + width^(k-1)*x_(k-1): off plus the products
+    # of the lowest k coordinates
+    block = np.array([off], dtype=np.int64)
+    for row in M[:k]:
+        block = (values[:, None, None] * row + block).reshape(width * len(block), m)
+    if k == r:
+        # the whole grid is one block
+        code = table[block[start:stop]].sum(axis=1)
+        yield np.minimum(code, size, out=code) if clip else code
+        return
+    low_only = ~M[k:].any(axis=0)
+    mixed = ~low_only & M[:k].any(axis=0)
+    high_only = ~low_only & ~mixed
+    base = table[block[:, low_only]].sum(axis=1)
+    lowest = block[:, mixed].min(axis=0)
+    index = np.ascontiguousarray((block[:, mixed] - lowest).T)
+
+    span = len(block)
+    chunks = np.arange(start // span, (stop - 1) // span + 1)
+    fixed = (chunks[:, None] // width ** np.arange(r - k) % width + lo) @ M[k:]
+    shifts = table[fixed[:, high_only] + block[0, high_only]].sum(axis=1).tolist()
+    offsets = (fixed[:, mixed] + lowest).tolist()
+    for b, shift, offs in zip(chunks.tolist(), shifts, offsets):
+        rows = slice(max(start - b * span, 0), stop - b * span)
+        code = base[rows] + shift
+        for o, col in zip(offs, index):
+            code += table[o:].take(col[rows])
+        yield np.minimum(code, size, out=code) if clip else code
 
 
 def _tally(codes, shape: tuple) -> np.ndarray:
     """How often each tuple of statistics occurs, as an array of `shape`;
-    `codes` yields, chunk by chunk, the raveled index of each row's tuple."""
-    acc = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    `codes` yields, chunk by chunk, the raveled index of each row's tuple,
+    or the tally's size for a row that is not counted."""
+    acc = np.zeros(math.prod(shape), dtype=np.int64)
     for c in codes:
-        acc += np.bincount(c, minlength=acc.size)
+        acc += np.bincount(c, minlength=acc.size + 1)[:-1]
     return acc.reshape(shape)
 
 
@@ -165,37 +212,38 @@ def _decode(acc: np.ndarray) -> dict:
     return {tuple(map(int, key)): int(c) for *key, c in zip(*nz, acc[nz])}
 
 
+def _coflow_parts(ext, filt, q: int, weights, size: int) -> list:
+    """`_codes` parts for a grid of basis values: an extended value P weighs
+    weights[P % q], and on an input with a circuit filter, each circuit sum
+    that is nonzero mod q sends the code to the sentinel `size`."""
+    parts = [(ext.T, lambda P: weights[P % q])]
+    if filt is not None:
+        parts.append((ext.T @ filt.T, lambda P: np.where(P % q, size, 0)))
+    return parts
+
+
 def _hist_range(ext, filt, q: int, n: int, budget: int, start: int = 0, stop=None):
     """Tally of (pos-count, neg-count, mid-count) over a range of basis
     assignments; the mid-count, of values equal to q/2, is 0 at odd q."""
-
     # a value's weight in the raveled (g, l, h) index
     w = np.zeros(q, dtype=np.int64)
     w[1 : (q - 1) // 2 + 1] = (n + 1) ** 2
     w[q // 2 + 1 :] = n + 1
     if q % 2 == 0:
         w[q // 2] = 1
-
-    def codes():
-        for P in _products(ext.T, q, budget, start=start, stop=stop):
-            V = P % q
-            if filt is not None:
-                V = V[np.all((V @ filt.T) % q == 0, axis=1)]
-            yield w[V].sum(axis=1)
-
-    return _tally(codes(), (n + 1,) * 3)
+    size = (n + 1) ** 3
+    parts = _coflow_parts(ext, filt, q, w, size)
+    return _tally(_codes(parts, q, size, budget, start=start, stop=stop), (n + 1,) * 3)
 
 
 def _box_count(ext, filt, q, lo_val, hi_val, budget: int) -> int:
-    """Count assignments whose every extended value lies in [lo_val, hi_val]."""
-    total = 0
-    for P in _products(ext.T, hi_val - lo_val + 1, budget, lo=lo_val):
-        V = P % q
-        ok = np.all((V >= lo_val) & (V <= hi_val), axis=1)
-        if filt is not None:
-            ok &= np.all((V @ filt.T) % q == 0, axis=1)
-        total += int(ok.sum())
-    return total
+    """Count assignments whose every extended value lies in [lo_val, hi_val]
+    mod q: a value outside weighs 1, and only code 0 counts."""
+    outside = np.ones(q, dtype=np.int64)
+    outside[lo_val : hi_val + 1] = 0
+    parts = _coflow_parts(ext, filt, q, outside, 1)
+    codes = _codes(parts, hi_val - lo_val + 1, 1, budget, lo=lo_val)
+    return int(_tally(codes, (1,))[0])
 
 
 def _incidence(d: Digraph) -> np.ndarray:
@@ -491,12 +539,15 @@ def digraph_a_eval(
     w = np.zeros(q, dtype=np.int64)
     w[1 : q // 2 + 1] = n + 1
     w[q // 2 + 1 :] = 1
-    codes = (w[P % q].sum(axis=1) for P in _products(_incidence(d), q, budget))
+    size = (n + 1) ** 2
+    codes = _codes([(_incidence(d), lambda P: w[P % q])], q, size, budget)
     denom = q ** d.components()
     terms = {}
     for e, c in _decode(_tally(codes, (n + 1,) * 2)).items():
         if c % denom:
-            raise ArithmeticError("potential count not divisible by q^components")
+            raise InvariantViolated(
+                f"potential count {c} of {e} not divisible by q^components = {denom}"
+            )
         terms[e] = Fraction(c // denom)
     return Poly(("y", "z"), terms)
 
@@ -510,13 +561,13 @@ def b_poly(d: Digraph, budget: int = DEFAULT_BUDGET) -> Poly:
     """
     nv, inc, n = d.vertices, _incidence(d), len(d.arcs)
 
-    def stats_at(q):
+    def weigh(P):
         # a coloring times the incidence matrix is f(head) - f(tail) per arc;
-        # a difference P weighs w[P + q - 1] in the raveled (descents, ascents)
-        w = np.zeros(2 * q - 1, dtype=np.int64)
-        w[: q - 1] = n + 1
-        w[q:] = 1
-        codes = (w[P + q - 1].sum(axis=1) for P in _products(inc, q, budget))
+        # a difference weighs its sign's place in the raveled (descents, ascents)
+        return (n + 1) * (P < 0) + (P > 0)
+
+    def stats_at(q):
+        codes = _codes([(inc, weigh)], q, (n + 1) ** 2, budget)
         return _decode(_tally(codes, (n + 1,) * 2))
 
     return _interpolated(

@@ -291,11 +291,20 @@ def test_corpus_export_named_matrix_files_are_frozen(tmp_path, capsys):
         {"rows": 3},
         {"vertices": 2, "edges": [5]},
         {"vertices": 2, "arcs": [[0, 1]], "labels": 7},
+        {"rows": [["1/0"]]},
+        {"vertices": 2.5, "arcs": []},
+        {"vertices": True, "arcs": []},
+        {"rows": [[True, 0], [0, 1]]},
+        {"vertices": 2, "arcs": [[0.5, 1]]},
+        {"vertices": 2, "arcs": [[0, 1], [1, 0]], "labels": "ab"},
+        {"vertices": 2, "arcs": [[0, 1], [1, 0]], "labels": ["a", "a"]},
     ],
     ids=[
         "arcs-without-vertices", "negative-vertices", "ragged-rows",
         "arcs-not-a-list", "vertices-not-an-int", "rows-not-a-list",
-        "edge-not-a-list", "labels-not-a-list",
+        "edge-not-a-list", "labels-not-a-list", "zero-denominator",
+        "fractional-vertices", "boolean-vertices", "boolean-entry",
+        "fractional-endpoint", "labels-a-string", "repeated-label",
     ],
 )
 def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):
@@ -306,6 +315,26 @@ def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"rows": ["12"]},
+        {"vertices": 2, "arcs": [[0, 1], [1, 0]], "labels": ["a", "b"], "pairs": ["ab"]},
+    ],
+    ids=["row", "pair"],
+)
+def test_a_string_is_not_read_as_a_list(tmp_path, capsys, payload):
+    # a string iterates as its characters: "12" would be the row [1, 2]
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code = main(["compute", "t1", "--input", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be a list" in captured.err
     assert captured.err.count("\n") == 1
 
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from omflow.coflows import (
     extension_matrix,
     lattice_count,
 )
-from omflow.errors import BudgetExceeded
+from omflow.errors import BudgetExceeded, InvariantViolated
 from omflow.fixtures import R10_ROWS, default_corpus, get_fixture, get_pom_fixture
 from omflow.matroid import Digraph, OrientedMatroid
 from omflow.pom import t1
@@ -59,6 +60,32 @@ def u24():
 
 def qyz(s_terms):
     return Poly(QYZ, {e: Q(c) for e, c in s_terms.items()})
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """A process pool on 3 CPUs: it records its sizes, refuses more workers
+    than CPUs and maps serially, sending the callable through pickle."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            if max_workers > 3:
+                raise RuntimeError(f"{max_workers} workers on 3 CPUs")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(pickle.loads(pickle.dumps(fn)), *iterables)
+
+    monkeypatch.setattr(coflows, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(coflows.os, "cpu_count", lambda: 3)
+    return sizes
 
 
 class TestHistograms:
@@ -104,32 +131,22 @@ class TestHistograms:
         with pytest.raises(BudgetExceeded):
             coflow_histogram(triangle(), 5, budget=10)
 
-    def test_jobs_never_exceed_the_cpus(self, monkeypatch):
-        # a process pool forks all its workers at once; this one records its
-        # size, refuses more workers than CPUs and maps serially
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                if max_workers > 3:
-                    raise RuntimeError(f"{max_workers} workers on 3 CPUs")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(coflows, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(coflows.os, "cpu_count", lambda: 3)
+    def test_jobs_never_exceed_the_cpus(self, serial_pool):
         om = get_fixture("R10")[0]
         assert 13**om.rank > 4 * coflows._CHUNK
         assert coflow_histogram(om, 13, jobs=10**6) == coflow_histogram(om, 13)
-        assert sizes == [3]
+        assert serial_pool == [3]
+
+    @pytest.mark.parametrize("om, q, chunk", [("R10", 13, None), ("U24", 5, 6)])
+    def test_jobs_split_the_grid(self, serial_pool, monkeypatch, om, q, chunk):
+        # each worker codes its own [start, stop) of the grid, and here the
+        # bounds fall inside chunks; U24 runs its circuit filter
+        om = get_fixture("R10")[0] if om == "R10" else u24()
+        if chunk:
+            monkeypatch.setattr(coflows, "_CHUNK", chunk)
+        assert q**om.rank > 4 * coflows._CHUNK
+        assert coflow_histogram(om, q, jobs=3) == coflow_histogram(om, q)
+        assert serial_pool == [3]
 
     def test_json_shape(self):
         obj = coflow_histogram(digon(), 5).to_json_obj()
@@ -390,6 +407,12 @@ class TestDigraphRoutes:
             for q in (1, 3, 5):
                 assert digraph_a_eval(d, q) == a_eval(om, q)
 
+    def test_indivisible_potential_count_raises(self, monkeypatch):
+        # one arc joins both vertices; two components would divide by q^2
+        monkeypatch.setattr(Digraph, "components", lambda self: 2)
+        with pytest.raises(InvariantViolated, match="not divisible"):
+            digraph_a_eval(Digraph.make(2, [(0, 1)], ["a"]), 3)
+
     def test_b_poly_vertex(self):
         d = Digraph.make(1, [], [])
         assert b_poly(d) == Poly.variable(QYZ, "q")
@@ -428,38 +451,87 @@ class TestDigraphRoutes:
 
 
 class TestProducts:
+    """The grid kernel `_codes` against table lookups summed point by point."""
+
     @given(
         r=st.integers(0, 4),
-        width=st.integers(1, 5),
+        width=st.integers(0, 5),
         lo=st.integers(0, 2),
         chunk=st.integers(1, 9),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, r, width, lo, chunk, data):
+        k = 0
+        while k < r and width ** (k + 1) <= chunk:
+            k += 1
+        # the kernel's split: rows below k form the block, the rest are fixed
+        # per chunk; when both are present, one column of each class leads
+        columns = [[1] + [0] * (r - 1), [0] * (r - 1) + [-2], [2] + [0] * (r - 2) + [1]]
+        columns = columns if 0 < k < r else []
         m = data.draw(st.integers(0, 3))
-        M = np.array(
-            data.draw(st.lists(st.integers(-3, 3), min_size=r * m, max_size=r * m)),
-            dtype=np.int64,
-        ).reshape(r, m)
+        columns += [data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)) for _ in range(m)]
+        M = np.array(columns, dtype=np.int64).reshape(len(columns), r).T
+        split = data.draw(st.integers(0, M.shape[1]))
+        # the tables cover every product: |(x @ M)_e| <= 3 * r * (lo + width)
+        bound = 3 * r * (lo + width)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tables = rng.integers(0, 10, size=(2, 2 * bound + 1))
+        parts = [
+            (M[:, :split], lambda P: tables[0][P + bound]),
+            (M[:, split:], lambda P: tables[1][P + bound]),
+        ]
+        size = data.draw(st.integers(1, 10 * M.shape[1] + 1))
         total = width**r
         start = data.draw(st.integers(0, total))
         stop = data.draw(st.integers(start, total))
+
         # the lowest coordinate varies fastest, so reverse product's tuples
         grid = [p[::-1] for p in itertools.product(range(lo, lo + width), repeat=r)]
-        want = np.array(grid, dtype=np.int64).reshape(total, r)[start:stop] @ M
+        want = []
+        for x in grid[start:stop]:
+            P = [sum(x[j] * int(M[j, e]) for j in range(r)) for e in range(M.shape[1])]
+            code = sum(int(tables[int(e >= split)][p + bound]) for e, p in enumerate(P))
+            want.append(min(code, size))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(coflows, "_CHUNK", chunk)
-            chunks = list(coflows._products(M, width, total, lo, start, stop))
+            chunks = list(coflows._codes(parts, width, size, total, lo, start, stop))
         assert all(0 < len(c) <= chunk for c in chunks)
-        got = np.concatenate(chunks) if chunks else np.zeros((0, m), dtype=np.int64)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        got = [int(c) for ch in chunks for c in ch]
+        assert got == want
 
     def test_budget_covers_the_whole_grid(self):
         M = np.ones((3, 2), dtype=np.int64)
+        parts = [(M, lambda P: np.zeros(len(P), dtype=np.int64))]
         with pytest.raises(BudgetExceeded):
-            next(coflows._products(M, 4, 63, start=0, stop=1))
+            next(coflows._codes(parts, 4, 1, 63, start=0, stop=1))
+
+
+class TestBoxCount:
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_point_loop(self, seed, q, data):
+        rng = random.Random(seed)
+        kind = rng.randrange(3)
+        if kind == 0:
+            nv = rng.randint(1, 4)
+            arcs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randrange(6))]
+            om = OrientedMatroid.from_digraph(Digraph.make(nv, arcs))
+        elif kind == 1:
+            om = u24()
+        else:
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+            om = OrientedMatroid.from_matrix(rows, tu_mode="assume")
+        lo = data.draw(st.integers(0, q - 1))
+        hi = data.draw(st.integers(lo - 1, q - 1))
+        _, ext, filt = extension_matrix(om)
+        want = 0
+        for x in itertools.product(range(lo, hi + 1), repeat=ext.shape[1]):
+            vals = [int(v) % q for v in ext @ np.array(x, dtype=np.int64).reshape(-1)]
+            sums = [] if filt is None else [int(c) % q for c in filt @ np.array(vals)]
+            want += all(lo <= v <= hi for v in vals) and not any(sums)
+        assert coflows._box_count(ext, filt, q, lo, hi, 10**8) == want
 
 
 class TestMemo:

@@ -46,6 +46,20 @@ def test_tu_status_comparisons_use_known_states():
     assert unknown == [], f"unknown tu_status states compared: {unknown}"
 
 
+def test_lattice_count_shares_no_counting_machinery():
+    # lattice_count is the oracle for the basis-parametrized counters, so it
+    # must not reach their kernel, tally or extension matrix
+    path = Path(omflow.__file__).parent / "coflows.py"
+    tree = ast.parse(path.read_text())
+    [fn] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "lattice_count"
+    ]
+    used = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
+    shared = used & {"_codes", "_coflow_parts", "_tally", "_decode", "extension_matrix"}
+    assert shared == set(), f"lattice_count uses {sorted(shared)}"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
