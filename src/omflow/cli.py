@@ -189,9 +189,11 @@ def _from_json(obj: dict, source: str, assume_tu: bool):
             [_rational(x, entry) for x in _list(row, f"{source}: a row")]
             for row in _list(obj["rows"], f"{source}: 'rows'")
         ]
-        assume = assume_tu or bool(obj.get("assume_tu"))
+        assume = obj.get("assume_tu", False)
+        if not isinstance(assume, bool):
+            raise CliError(f"{source}: 'assume_tu' must be a boolean, not {json.dumps(assume)}")
         om = OrientedMatroid.from_matrix(
-            rows, labels=labels, tu_mode="assume" if assume else "check"
+            rows, labels=labels, tu_mode="assume" if assume_tu or assume else "check"
         )
         if "pairs" in obj:
             return ("pom", _pom_from_pairs(om, obj["pairs"], source))

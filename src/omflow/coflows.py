@@ -95,27 +95,18 @@ def clear_caches() -> None:
 def extension_matrix(om: OrientedMatroid):
     """(basis columns, n x rank int64 extension matrix, circuit filter or None).
 
-    Row a of the matrix expresses f(a) as a signed sum of basis values, read
-    off the signs of the fundamental circuit of a.  The filter is a matrix of
-    signed circuit indicator rows, present only when the representation is not
-    certified regular; it only removes non-coflows, so the memo may hand
-    it to another representation of the same signed circuits.  The memo shares
-    the arrays, so they are read-only.
+    The extension matrix is the transpose of the standard representation
+    [I | A] (`OrientedMatroid.standard_representation`): row a expresses
+    f(a) as a signed sum of basis values, read off the signs of the
+    fundamental circuit of a.  The filter is a matrix of signed circuit
+    indicator rows, present only when the representation is not certified
+    regular; it only removes non-coflows, so the memo may hand it to another
+    representation of the same signed circuits.  The memo shares the arrays,
+    so they are read-only.
     """
-    basis_mask = om.lex_basis_mask()
-    bcols = sorted(bits_of(basis_mask))
-    r, n = len(bcols), om.n
-    ext = np.zeros((n, r), dtype=np.int64)
-    ext[bcols, range(r)] = 1
-    if r:
-        fund = om.fundamental_circuits(basis_mask)
-        for a, c in fund.items():
-            # circuit has a on the positive side: f(a) = sum(neg) - sum(pos\{a})
-            for j, b in enumerate(bcols):
-                if c.neg >> b & 1:
-                    ext[a, j] = 1
-                elif c.pos >> b & 1:
-                    ext[a, j] = -1
+    bcols, rows = om.standard_representation()
+    n = om.n
+    ext = np.array(rows, dtype=np.int64).reshape(len(bcols), n).T
     filt = None
     if om.tu_status == "not-tu" and om.circuits:
         filt = np.zeros((len(om.circuits), n), dtype=np.int64)

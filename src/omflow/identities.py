@@ -38,7 +38,7 @@ from .coflows import (
 )
 from .errors import BudgetExceeded
 from .matroid import CIRCUIT_GROUND_CAP, Digraph, OrientedMatroid, bits_of
-from .matroid import positive_union, reindex_mask
+from .matroid import positive_union
 from .tutte import potts
 
 QYZ = ("q", "y", "z")
@@ -247,14 +247,15 @@ def verify_tutte_relations(
 # ---------------------------------------------------------------------------
 
 
-def _submasks(mask: int):
-    """All submasks of mask, including 0 and mask itself."""
-    t = mask
-    while True:
-        yield t
-        if t == 0:
-            return
-        t = (t - 1) & mask
+def _partitions(om: OrientedMatroid):
+    """Every pair (R, T) with T inside E minus R, as (M minus R, M/R, T in
+    their indices, |E minus R minus T|, |T|).  The minors are built once per
+    R, and T runs through the subsets of E minus R in decreasing order."""
+    for R in range(1 << om.n):
+        mdel, mcon = om.delete(R), om.contract(R)
+        for t in range(mdel.full_mask, -1, -1):
+            t_ct = t.bit_count()
+            yield mdel, mcon, t, mdel.n - t_ct, t_ct
 
 
 def verify_expansions(
@@ -269,27 +270,19 @@ def verify_expansions(
     n, r = om.n, om.rank
 
     acc = [{}, {}, {}, {}]
-    for R in range(1 << n):
-        kept_mask = om.full_mask & ~R
-        kept = [i for i in range(n) if not R >> i & 1]
-        mdel = om.delete(R)
-        mcon = om.contract(R)
+    for mdel, mcon, t, s_ct, t_ct in _partitions(om):
         qk = r - mdel.rank
-        for T in _submasks(kept_mask):
-            s_ct = (kept_mask & ~T).bit_count()
-            t_ct = T.bit_count()
-            t_local = reindex_mask(T, kept)
-            cp_del = char_pair(mdel.reorient(t_local), budget=budget)
-            cp_con = char_pair(mcon.reorient(t_local), budget=budget)
-            for dest, cp, shift in (
-                (acc[0], cp_del.strict, qk),
-                (acc[1], cp_del.weak, qk),
-                (acc[2], cp_con.strict, 0),
-                (acc[3], cp_con.weak, 0),
-            ):
-                for (k,), c in cp.terms.items():
-                    key = (k + shift, s_ct, t_ct)
-                    dest[key] = dest.get(key, Fraction(0)) + c
+        cp_del = char_pair(mdel.reorient(t), budget=budget)
+        cp_con = char_pair(mcon.reorient(t), budget=budget)
+        for dest, cp, shift in (
+            (acc[0], cp_del.strict, qk),
+            (acc[1], cp_del.weak, qk),
+            (acc[2], cp_con.strict, 0),
+            (acc[3], cp_con.weak, 0),
+        ):
+            for (k,), c in cp.terms.items():
+                key = (k + shift, s_ct, t_ct)
+                dest[key] = dest.get(key, Fraction(0)) + c
     lhs1, lhs2, lhs3, lhs4 = (
         Poly(QYZ, {e: c for e, c in d.items() if c}) for d in acc
     )
@@ -342,26 +335,18 @@ def verify_reciprocity(
 
     if n <= PARTITION_SIZE_CAP:
         accs = [{}, {}, {}, {}]
-        for R in range(1 << n):
-            kept_mask = om.full_mask & ~R
-            kept = [i for i in range(n) if not R >> i & 1]
-            circ_del = [c for c in om.circuits if not c.support & R]
-            sgn_del = Fraction(-1) ** om.rank_of(kept_mask)
-            mcon = om.contract(R)
-            ground_con = mcon.full_mask
-            sgn_con = Fraction(-1) ** mcon.rank
-            for T in _submasks(kept_mask):
-                st = ((kept_mask & ~T).bit_count(), T.bit_count())
-                u = positive_union(circ_del, T)
-                if not u:
-                    accs[0][st] = accs[0].get(st, Fraction(0)) + 1
-                if u == kept_mask:
-                    accs[1][st] = accs[1].get(st, Fraction(0)) + sgn_del
-                u = positive_union(mcon.circuits, reindex_mask(T, kept))
-                if not u:
-                    accs[2][st] = accs[2].get(st, Fraction(0)) + sgn_con
-                if u == ground_con:
-                    accs[3][st] = accs[3].get(st, Fraction(0)) + 1
+        for mdel, mcon, t, s_ct, t_ct in _partitions(om):
+            st = (s_ct, t_ct)
+            u = positive_union(mdel.circuits, t)
+            if not u:
+                accs[0][st] = accs[0].get(st, Fraction(0)) + 1
+            if u == mdel.full_mask:
+                accs[1][st] = accs[1].get(st, Fraction(0)) + Fraction(-1) ** mdel.rank
+            u = positive_union(mcon.circuits, t)
+            if not u:
+                accs[2][st] = accs[2].get(st, Fraction(0)) + Fraction(-1) ** mcon.rank
+            if u == mcon.full_mask:
+                accs[3][st] = accs[3].get(st, Fraction(0)) + 1
         acy_del, tc_del, acy_con, tc_con = (
             Poly(YZ, {e: c for e, c in d.items() if c}) for d in accs
         )

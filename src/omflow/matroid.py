@@ -10,14 +10,30 @@ bitmasks.  A signed circuit is a pair of disjoint bitmasks
 pair {C, -C}, namely the one whose lowest support element is on the
 positive side, sorted for determinism.
 
-Fraction rows are the input format: the circuits are enumerated from them
-once, and every rank, basis and flat question is then answered from the
-full circuit list alone, for any matroid (Oxley, *Matroid Theory*):
+Rows are the input format.  `from_matrix`, `from_digraph`, `dual` and
+`double` enumerate circuits from a matrix and keep it; a minor, a
+reorientation or a direct sum is its circuits alone, read off its parent's.
+Every rank, basis and flat question is answered from the full circuit list,
+for any matroid (Oxley, *Matroid Theory*):
 
 - a greedy pass over S in index order rejects e exactly when some circuit
   C inside S has max(C) = e, so r(S) = |S| minus the number of such tops;
 - for e outside F, e lies in cl(F) exactly when some circuit C has
   C minus F = {e}.
+
+The `rows` of a derived matroid are its standard representation [I | A] on
+the lex basis B, built on first read: A[b, a] is minus the sign of b in the
+fundamental circuit of a, oriented with a positive.  This is exact for a
+matroid certified regular.  Such a matroid has a representation D whose
+circuits' kernel vectors all rescale to {-1, 0, 1}: its input's certified
+matrix, eliminated on the contracted columns, restricted, column-negated or
+put block-diagonal, whose circuits' kernel vectors are restrictions or
+negations of the parent's.  Row-reducing D onto B gives [I | A'] with the
+same row space, so the same signed circuits; the kernel vector of the
+fundamental circuit of a is 1 at a and -A'[., a] on B, and it rescales to
+{-1, 0, 1} with a positive, so it is the circuit's sign vector and A' = A.
+A derived matroid without the certificate raises NotTotallyUnimodular
+instead, as [I | A] need not represent it.
 """
 
 from __future__ import annotations
@@ -153,6 +169,11 @@ def _kernel_rescales_to_unit(ker) -> bool:
     return all(x == lead for x in nonzero)
 
 
+def _sorted_circuits(circuits) -> tuple:
+    """The stored order: by support, then by positive side."""
+    return tuple(sorted(circuits, key=lambda c: (c.support, c.pos)))
+
+
 def positive_union(circuits, flip: int = 0) -> int:
     """Union of the supports of the circuits that are positive, up to sign,
     after reorienting the element set `flip`; empty exactly when that
@@ -178,19 +199,19 @@ class OrientedMatroid:
 
     __slots__ = (
         "labels",
-        "rows",
         "tu_status",
         "circuits",
+        "_rows",
         "_dual",
     )
 
-    def __init__(self, labels, rows, tu_status, circuits, check_axioms=False):
+    def __init__(self, labels, tu_status, circuits, rows=None, check_axioms=False):
         self.labels = tuple(labels)
-        self.rows = mat_from_rows(rows)
         self.tu_status = tu_status
         self.circuits = tuple(circuits)
         if check_axioms and self.n <= 12:
             _check_axioms(self.circuits, self.n)
+        self._rows = None if rows is None else mat_from_rows(rows)
         self._dual = None
 
     # -- construction --------------------------------------------------------
@@ -224,13 +245,25 @@ class OrientedMatroid:
                 "(--assume-tu) to keep it anyway"
             )
         status = "true" if unit else "not-tu"
-        return cls(labels, rows, status, circuits, check_axioms=True)
+        return cls(labels, status, circuits, rows=rows, check_axioms=True)
 
     @classmethod
     def from_digraph(cls, d: "Digraph") -> "OrientedMatroid":
         return cls.from_matrix(d.incidence_rows(), d.labels)
 
     # -- basics ----------------------------------------------------------------
+
+    @property
+    def rows(self) -> tuple:
+        """The matrix this matroid was built from; for a minor, reorientation
+        or direct sum, its standard representation (module docstring)."""
+        if self._rows is None:
+            if self.tu_status != "true":
+                raise NotTotallyUnimodular(
+                    "a minor, reorientation or direct sum of a non-regular input has no rows"
+                )
+            self._rows = mat_from_rows(self.standard_representation()[1])
+        return self._rows
 
     @property
     def n(self) -> int:
@@ -310,6 +343,17 @@ class OrientedMatroid:
                 out[rest.bit_length() - 1] = c if c.pos & rest else -c
         return dict(sorted(out.items()))
 
+    def standard_representation(self) -> tuple:
+        """(lex basis B, the rows of [I | A] on B as int lists): A[b, a] is
+        minus the sign of b in the fundamental circuit of a, a positive."""
+        basis = self.lex_basis_mask()
+        bcols = sorted(bits_of(basis))
+        rows = [[int(a == b) for a in range(self.n)] for b in bcols]
+        for a, c in self.fundamental_circuits(basis).items():
+            for row, b in zip(rows, bcols):
+                row[a] = (c.neg >> b & 1) - (c.pos >> b & 1)
+        return bcols, rows
+
     # -- duality ----------------------------------------------------------------
 
     def dual(self) -> "OrientedMatroid":
@@ -329,7 +373,7 @@ class OrientedMatroid:
             dual_rows.append(row)
         circuits, _ = _circuits_from_matrix(mat_from_rows(dual_rows), n)
         dual_om = OrientedMatroid(
-            self.labels, dual_rows, self.tu_status, circuits, check_axioms=True
+            self.labels, self.tu_status, circuits, rows=dual_rows, check_axioms=True
         )
         dual_om._dual = self
         if self.n <= 10:
@@ -345,47 +389,30 @@ class OrientedMatroid:
     def minor(self, delete: int = 0, contract: int = 0) -> "OrientedMatroid":
         """Delete and contract disjoint element sets.
 
-        Contraction eliminates on the contracted columns and keeps the rows
-        below the pivots, which span the row vectors vanishing there;
-        contracted loops find no pivot, so contracting them equals deleting
-        them.  Circuits come from the parent's circuits (restriction plus
-        support-minimal truncation), so no fresh enumeration happens.
+        The circuits are the support-minimal nonempty C minus `contract` over
+        the parent's circuits C that avoid `delete`, so no rows are read and
+        no fresh enumeration happens; a contracted loop leaves nothing
+        behind, so contracting it equals deleting it.
         """
         if delete & contract:
             raise ValueError("delete and contract sets overlap")
-        work = [list(row) for row in self.rows]
-        work = work[len(_eliminate(work, sorted(bits_of(contract)))) :]
         kept = [i for i in range(self.n) if not (delete | contract) >> i & 1]
-        new_rows = [[row[i] for i in kept] for row in work]
-        if not new_rows:
-            new_rows = [[Fraction(0)] * len(kept)]
         new_labels = [self.labels[i] for i in kept]
 
         # circuit rule: restrict away deletions, truncate by contractions,
         # keep the support-minimal results
-        cand = []
-        for c in self.circuits:
-            if c.support & delete:
-                continue
-            x = c.drop(contract)
-            if x.support:
-                cand.append(x)
-        cand.sort(key=lambda c: c.support.bit_count())
+        cand = sorted(
+            (c.drop(contract) for c in self.circuits if not c.support & delete),
+            key=lambda c: c.support.bit_count(),
+        )
         chosen: list[SignedSubset] = []
         supports: list[int] = []
-        seen = set()
         for x in cand:
-            if x.support in seen:
-                continue
-            if any(s & x.support == s for s in supports):
-                continue
-            chosen.append(x.canonical())
-            supports.append(x.support)
-            seen.add(x.support)
-        circuits = tuple(
-            sorted((c.reindex(kept) for c in chosen), key=lambda c: (c.support, c.pos))
-        )
-        return OrientedMatroid(new_labels, new_rows, self.tu_status, circuits)
+            if x.support and not any(s & x.support == s for s in supports):
+                chosen.append(x.canonical().reindex(kept))
+                supports.append(x.support)
+        circuits = _sorted_circuits(chosen)
+        return OrientedMatroid(new_labels, self.tu_status, circuits)
 
     def delete(self, mask: int) -> "OrientedMatroid":
         return self.minor(delete=mask)
@@ -396,17 +423,8 @@ class OrientedMatroid:
     # -- reorientation --------------------------------------------------------
 
     def reorient(self, smask: int) -> "OrientedMatroid":
-        rows = [
-            [(-x if smask >> j & 1 else x) for j, x in enumerate(row)]
-            for row in self.rows
-        ]
-        circuits = tuple(
-            sorted(
-                (c.reorient(smask).canonical() for c in self.circuits),
-                key=lambda c: (c.support, c.pos),
-            )
-        )
-        return OrientedMatroid(self.labels, rows, self.tu_status, circuits)
+        circuits = _sorted_circuits(c.reorient(smask).canonical() for c in self.circuits)
+        return OrientedMatroid(self.labels, self.tu_status, circuits)
 
     def classify(self) -> Classification:
         cyc = positive_union(self.circuits)
@@ -417,42 +435,24 @@ class OrientedMatroid:
             is_totally_cyclic=cyc == self.full_mask,
         )
 
-    def stabilizer(self) -> list:
-        """Reorientation sets fixing the circuit signature (as bitmasks)."""
-        base = set(self.circuits)
-        out = []
-        for s in range(1 << self.n):
-            if {c.reorient(s).canonical() for c in self.circuits} == base:
-                out.append(s)
-        return out
-
     # -- doubling and sums -------------------------------------------------------
 
     def double(self) -> "OrientedMatroid":
         """Adjoin a negated copy e' of every element e."""
         rows = [list(row) + [-x for x in row] for row in self.rows]
         labels = list(self.labels) + [lab + "'" for lab in self.labels]
-        if not self.rows:
-            rows = []
         circuits, _ = _circuits_from_matrix(mat_from_rows(rows), 2 * self.n)
-        return OrientedMatroid(labels, rows, self.tu_status, circuits, check_axioms=True)
+        return OrientedMatroid(labels, self.tu_status, circuits, rows=rows, check_axioms=True)
 
     def direct_sum(self, other: "OrientedMatroid") -> "OrientedMatroid":
         labels = list(self.labels) + list(other.labels)
         if len(set(labels)) != len(labels):
             labels = [f"L.{x}" for x in self.labels] + [f"R.{x}" for x in other.labels]
-        r1, r2 = len(self.rows), len(other.rows)
-        n1, n2 = self.n, other.n
-        rows = [list(row) + [Fraction(0)] * n2 for row in self.rows]
-        rows += [[Fraction(0)] * n1 + list(row) for row in other.rows]
-        circuits = [c for c in self.circuits]
-        circuits += [
-            SignedSubset(c.pos << n1, c.neg << n1) for c in other.circuits
-        ]
-        circuits.sort(key=lambda c: (c.support, c.pos))
+        shifted = [SignedSubset(c.pos << self.n, c.neg << self.n) for c in other.circuits]
+        circuits = _sorted_circuits(list(self.circuits) + shifted)
         both = self.tu_status == other.tu_status == "true"
         status = "true" if both else "not-tu"
-        return OrientedMatroid(labels, rows, status, circuits)
+        return OrientedMatroid(labels, status, circuits)
 
     # -- flats ---------------------------------------------------------------------
 
@@ -497,35 +497,6 @@ def _check_orthogonality(circuits, cocircuits) -> None:
                 raise ValueError(
                     f"circuit {c} and cocircuit {d} are not sign-orthogonal"
                 )
-
-
-def circuit_in_fundamental_span(
-    om: OrientedMatroid, basis_mask: int, circuit: SignedSubset
-) -> bool:
-    """Is the circuit the forced integer combination of fundamental circuits?
-
-    The coefficient of the fundamental circuit of a non-basis element a is
-    the sign of a in the target circuit; the combination must reproduce the
-    target exactly (in one of its two orientations).
-    """
-    fund = om.fundamental_circuits(basis_mask)
-
-    def vec(ss: SignedSubset):
-        return [
-            (1 if ss.pos >> i & 1 else -1 if ss.neg >> i & 1 else 0)
-            for i in range(om.n)
-        ]
-
-    for target in (circuit, -circuit):
-        total = [0] * om.n
-        for a, fc in fund.items():
-            lam = 1 if target.pos >> a & 1 else -1 if target.neg >> a & 1 else 0
-            if lam:
-                fv = vec(fc)
-                total = [t + lam * f for t, f in zip(total, fv)]
-        if total == vec(target):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -63,20 +63,3 @@ def characteristic(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     one_minus_q = Poly.const(qv, 1) - Poly.variable(qv, "q")
     out = t.compose(qv, {"x": one_minus_q, "y": Fraction(0)})
     return out * Fraction(-1) ** om.rank
-
-
-def potts_tutte_residual(om: OrientedMatroid, q0, y0) -> Fraction:
-    """Difference of the two sides of the Potts-Tutte change of variables.
-
-    P(q, y) - y^|E| (1/y - 1)^rank T(1 + q/(1/y - 1), 1/y) at a rational
-    point with y0 not in {0, 1}; zero iff the identity holds there.
-    """
-    q0, y0 = Fraction(q0), Fraction(y0)
-    if y0 in (0, 1):
-        raise ValueError("need y0 outside {0, 1}")
-    lhs = potts(om).eval_frac({"q": q0, "y": y0})
-    u = 1 / y0 - 1
-    rhs = y0**om.n * u**om.rank * tutte(om).eval_frac(
-        {"x": 1 + q0 / u, "y": 1 / y0}
-    )
-    return lhs - rhs

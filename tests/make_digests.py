@@ -1,0 +1,92 @@
+"""SHA-256 digests of omflow's outputs over the default corpus.
+
+Each family is the canonical JSON of one output over every instance it
+covers, as a list of [instance name, output]; `tests/test_digests.py`
+recomputes every family and compares it with `tests/digests.json`.  To
+regenerate the file after an intended output change (and justify that
+change in CHANGES.md), run from the repository root:
+
+    PYTHONPATH=src python tests/make_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+from omflow.algebra import json_dumps_canonical
+from omflow.coflows import a_poly, b_poly, char_pair, digraph_a_eval
+from omflow.fixtures import corpus_poms, default_corpus
+from omflow.identities import run_suites
+from omflow.pom import t1, t2
+from omflow.tutte import tutte
+
+DIGESTS = Path(__file__).with_name("digests.json")
+SUITE_STRIDE = 8  # the suite reports cover every 8th corpus instance
+
+
+def _circuits(om) -> list:
+    return [[c.pos, c.neg] for c in om.circuits]
+
+
+def _share(part: int, parts: int) -> dict:
+    """{family: canonical JSON of each [name, output]} over every `parts`-th
+    instance of each family, starting at the `part`-th."""
+    out: dict = {}
+
+    def add(family, name, obj):
+        out.setdefault(family, []).append(json_dumps_canonical([name, obj]))
+
+    corpus = list(default_corpus())
+    for name, om, _ in corpus[part::parts]:
+        key = {"tu_status": om.tu_status, "key": [om.n, _circuits(om)],
+               "dual": _circuits(om.dual())}
+        add("canonical_key+dual_circuits", name, key)
+        add("tutte", name, tutte(om).to_json_obj())
+        cp = char_pair(om)
+        add("a_poly+char_pair", name, {"a": a_poly(om).to_json_obj(),
+                                       "strict": cp.strict.to_json_obj(),
+                                       "weak": cp.weak.to_json_obj()})
+    digraphs = [(name, d) for name, _, d in corpus if d is not None]
+    for name, d in digraphs[part::parts]:
+        evals = {str(q): digraph_a_eval(d, q).to_json_obj() for q in (1, 3, 5)}
+        add("digraph_routes", name, {"b": b_poly(d).to_json_obj(), "a_eval": evals})
+    for name, p in list(corpus_poms())[part::parts]:
+        add("t1+t2", name, {"t1": t1(p).to_json_obj(), "t2": t2(p).to_json_obj()})
+    for name, om, d in corpus[::SUITE_STRIDE][part::parts]:
+        add("suite_reports", name, [r.to_json_obj() for r in run_suites(om, name, digraph=d)])
+    return out
+
+
+def compute(jobs: int = 1) -> dict:
+    """{family: SHA-256 of the family's canonical JSON}, computed in up to
+    `jobs` processes (never more than the CPUs), each taking every
+    jobs-th instance of every family."""
+    parts = max(1, min(jobs, os.cpu_count() or 1))
+    if parts == 1:
+        shares = [_share(0, 1)]
+    else:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=parts, mp_context=spawn) as pool:
+            shares = list(pool.map(_share, range(parts), [parts] * parts))
+    digests = {}
+    for family in shares[0]:
+        items = [None] * sum(len(s.get(family, ())) for s in shares)
+        for part, share in enumerate(shares):
+            items[part::parts] = share.get(family, [])
+        text = "[" + ",".join(items) + "]"
+        digests[family] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def main() -> None:
+    digests = compute(jobs=os.cpu_count() or 1)
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -298,6 +298,7 @@ def test_corpus_export_named_matrix_files_are_frozen(tmp_path, capsys):
         {"vertices": 2, "arcs": [[0.5, 1]]},
         {"vertices": 2, "arcs": [[0, 1], [1, 0]], "labels": "ab"},
         {"vertices": 2, "arcs": [[0, 1], [1, 0]], "labels": ["a", "a"]},
+        {"rows": [[1, 0, 1, 1], [0, 1, 1, -1]], "assume_tu": "no"},
     ],
     ids=[
         "arcs-without-vertices", "negative-vertices", "ragged-rows",
@@ -305,6 +306,7 @@ def test_corpus_export_named_matrix_files_are_frozen(tmp_path, capsys):
         "edge-not-a-list", "labels-not-a-list", "zero-denominator",
         "fractional-vertices", "boolean-vertices", "boolean-entry",
         "fractional-endpoint", "labels-a-string", "repeated-label",
+        "assume-tu-a-string",
     ],
 )
 def test_malformed_instance_exits_2_with_one_line(tmp_path, capsys, payload):

@@ -177,7 +177,7 @@ class TestCircuitFilter:
     def test_filter_removes_nothing(self):
         for om in self.accepted():
             assert om.tu_status == "true"
-            filtered = OrientedMatroid(om.labels, om.rows, "not-tu", om.circuits)
+            filtered = OrientedMatroid(om.labels, "not-tu", om.circuits, rows=om.rows)
             for q in (3, 4, 5):
                 # the memo keys on the circuits, not the status
                 clear_caches()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 
 from omflow.algebra import _eliminate, json_dumps_canonical, mat_from_rows, mat_rank
 from omflow.cli import load_input
-from omflow.coflows import a_poly, clear_caches
+from omflow.coflows import a_poly, clear_caches, extension_matrix
 from omflow.errors import GroundTooLarge, NotABasis, NotTotallyUnimodular
-from omflow.fixtures import U24_ROWS, get_fixture
+from omflow.fixtures import U24_ROWS, default_corpus, get_fixture
 from omflow.matroid import (
     Digraph,
     OrientedMatroid,
     SignedSubset,
     _circuits_from_matrix,
     bits_of,
-    circuit_in_fundamental_span,
     mask_of,
     reindex_mask,
 )
@@ -59,6 +59,70 @@ instances = st.one_of(
     st.integers(0, 10**6).map(random_digraph_om),
     st.sampled_from(sorted(NAMED)).map(NAMED.get),
 )
+
+
+@functools.cache
+def corpus_oms() -> list:
+    return [om for _, om, _ in default_corpus()]
+
+
+def minor_rows(rows, n, delete=0, contract=0):
+    """The rows of a minor by elimination: eliminate on the contracted
+    columns, keep the rows below the pivots, and drop the removed columns."""
+    work = [list(row) for row in rows]
+    work = work[len(_eliminate(work, sorted(bits_of(contract)))) :]
+    kept = [i for i in range(n) if not (delete | contract) >> i & 1]
+    new_rows = [[row[i] for i in kept] for row in work]
+    if not new_rows:
+        new_rows = [[Fraction(0)] * len(kept)]
+    return new_rows
+
+
+def reoriented_rows(rows, smask):
+    """The rows of a reorientation: the reoriented columns negated."""
+    return [
+        [(-x if smask >> j & 1 else x) for j, x in enumerate(row)]
+        for row in rows
+    ]
+
+
+def stabilizer(m) -> list:
+    """Reorientation sets fixing the circuit signature (as bitmasks)."""
+    base = set(m.circuits)
+    out = []
+    for s in range(1 << m.n):
+        if {c.reorient(s).canonical() for c in m.circuits} == base:
+            out.append(s)
+    return out
+
+
+def circuit_in_fundamental_span(
+    om: OrientedMatroid, basis_mask: int, circuit: SignedSubset
+) -> bool:
+    """Is the circuit the forced integer combination of fundamental circuits?
+
+    The coefficient of the fundamental circuit of a non-basis element a is
+    the sign of a in the target circuit; the combination must reproduce the
+    target exactly (in one of its two orientations).
+    """
+    fund = om.fundamental_circuits(basis_mask)
+
+    def vec(ss: SignedSubset):
+        return [
+            (1 if ss.pos >> i & 1 else -1 if ss.neg >> i & 1 else 0)
+            for i in range(om.n)
+        ]
+
+    for target in (circuit, -circuit):
+        total = [0] * om.n
+        for a, fc in fund.items():
+            lam = 1 if target.pos >> a & 1 else -1 if target.neg >> a & 1 else 0
+            if lam:
+                fv = vec(fc)
+                total = [t + lam * f for t, f in zip(total, fv)]
+        if total == vec(target):
+            return True
+    return False
 
 
 def greedy_basis(m, cols):
@@ -195,7 +259,8 @@ class TestMinor:
         dele = mask_of(elems[: k // 2])
         contr = mask_of(elems[k // 2 : k])
         minor = m.minor(delete=dele, contract=contr)
-        fresh, _ = _circuits_from_matrix(minor.rows, minor.n)
+        rows = mat_from_rows(minor_rows(m.rows, m.n, dele, contr))
+        fresh, _ = _circuits_from_matrix(rows, minor.n)
         assert minor.circuits == fresh
         assert minor.rank == m.rank_of(m.full_mask & ~dele) - m.rank_of(contr)
 
@@ -237,11 +302,11 @@ class TestClassifyAndFlats:
 class TestStabilizerDoubling:
     def test_digon_stabilizer(self):
         m = digon()
-        assert set(m.stabilizer()) == {0b00, 0b11}
+        assert set(stabilizer(m)) == {0b00, 0b11}
 
     def test_triangle_stabilizer(self):
         m = triangle()
-        assert set(m.stabilizer()) == {0b000, 0b111}
+        assert set(stabilizer(m)) == {0b000, 0b111}
 
     def test_double_counts(self):
         m = triangle()
@@ -357,15 +422,18 @@ class TestCircuitOracle:
         elems = list(range(m.n))
         rnd.shuffle(elems)
         k = rnd.randint(0, m.n)
-        derived = m.minor(delete=mask_of(elems[: k // 2]), contract=mask_of(elems[k // 2 : k]))
-        derived = derived.reorient(rnd.getrandbits(derived.n))
-        for om in (m, derived):
+        dele, contr = mask_of(elems[: k // 2]), mask_of(elems[k // 2 : k])
+        derived = m.minor(delete=dele, contract=contr)
+        flip = rnd.getrandbits(derived.n)
+        derived = derived.reorient(flip)
+        derived_rows = reoriented_rows(minor_rows(m.rows, m.n, dele, contr), flip)
+        for om, rows in ((m, m.rows), (derived, mat_from_rows(derived_rows))):
             subsets = range(1 << om.n)
-            ranks = [mat_rank(om.rows, cols=sorted(bits_of(s))) for s in subsets]
+            ranks = [mat_rank(rows, cols=sorted(bits_of(s))) for s in subsets]
             assert [om.rank_of(s) for s in subsets] == ranks
             assert om.rank == ranks[-1]
 
-            work = [list(row) for row in om.rows]
+            work = [list(row) for row in rows]
             pivots = _eliminate(work)
             b = om.lex_basis_mask()
             assert b == mask_of(pivots)
@@ -387,6 +455,33 @@ class TestCircuitOracle:
                     ranks[s | 1 << a] > ranks[s] for a in range(om.n) if not s >> a & 1
                 )
                 assert om.is_flat(s) == closed
+
+
+class TestDerivedRows:
+    """A minor, reorientation or direct sum reads its rows off its circuits."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_standard_representation(self, data):
+        m = data.draw(st.sampled_from(corpus_oms()))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        elems = list(range(m.n))
+        rnd.shuffle(elems)
+        k = rnd.randint(0, m.n)
+        derived = m.minor(delete=mask_of(elems[: k // 2]), contract=mask_of(elems[k // 2 : k]))
+        derived = derived.reorient(rnd.getrandbits(derived.n))
+        if rnd.random() < 0.3:
+            derived = derived.direct_sum(digon())
+        if derived.tu_status != "true":
+            with pytest.raises(NotTotallyUnimodular):
+                derived.rows
+        else:
+            assert _circuits_from_matrix(derived.rows, derived.n) == (derived.circuits, True)
+            ext = extension_matrix(derived)[1]
+            assert ext.T.tolist() == [list(row) for row in derived.rows]
+        # a minor of a non-regular input kept under "assume" has no rows
+        with pytest.raises(NotTotallyUnimodular):
+            u24_assumed().contract(0b1).rows
 
 
 class TestDigraph:
