@@ -9,6 +9,13 @@ tuple of variables.  Exponents are allowed to go negative *internally* (a few
 intermediate results are honest Laurent polynomials); serialization refuses
 negative exponents, so anything that escapes the package is a genuine
 polynomial.
+
+:meth:`Poly.compose` is the one substitution of polynomials into a
+polynomial; homogenization, the Tutte/Potts expansions, t1/t2 and the duality
+checks are all changes of variables through it.  A single-term image (a
+scalar, a variable, a monomial) only scales and shifts each term; the terms
+are grouped by the exponents of the other variables, so each group costs one
+multiplication by cached powers of those images.
 """
 
 from __future__ import annotations
@@ -165,25 +172,9 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
-    def degree(self, name: str) -> int:
-        """Largest exponent of `name`; -1 for the zero polynomial."""
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
     def min_degree(self, name: str) -> int:
         i = self.vars.index(name)
         return min((e[i] for e in self.terms), default=0)
-
-    def coeff(self, name: str, k: int) -> "Poly":
-        """Coefficient of name**k, as a Poly in the remaining variables."""
-        i = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                re = tuple(x for j, x in enumerate(e) if j != i)
-                out[re] = out.get(re, Fraction(0)) + c
-        return Poly(rest, out)
 
     def lift(self, vars: tuple[str, ...]) -> "Poly":
         """Reinterpret over a superset of variables (new ones get exponent 0)."""
@@ -211,26 +202,6 @@ class Poly:
             total += t
         return total
 
-    def eval_scalars(self, point: dict):
-        """Evaluate with variables bound to any ring elements (+, *, ** int).
-
-        Used with :class:`EisensteinScalar` values; negative exponents require
-        the value to support them.
-        """
-        vals = [point[v] for v in self.vars]
-        total = None
-        for e, c in self.terms.items():
-            t = None
-            for x, k in zip(vals, e):
-                if k:
-                    p = x**k
-                    t = p if t is None else t * p
-            term = c if t is None else t * c
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
-
     def subs_scalar(self, name: str, value) -> "Poly":
         """Substitute one variable by a Fraction; result keeps remaining vars."""
         value = as_frac(value)
@@ -255,32 +226,51 @@ class Poly:
     def compose(self, out_vars: tuple[str, ...], mapping: dict) -> "Poly":
         """Substitute every variable by a Poly over `out_vars` (or a scalar).
 
-        Requires all exponents nonnegative.
+        An image with one term only scales the coefficient and shifts the
+        exponents.  The terms are grouped by the exponents of the other
+        variables, and each group is multiplied by those images' cached
+        powers once.  Requires all exponents nonnegative.
         """
         out_vars = tuple(out_vars)
-        images = []
-        for v in self.vars:
+        single, multi = [], []  # (index, exponents, coefficient); (index, powers)
+        for idx, v in enumerate(self.vars):
             img = mapping[v]
             if isinstance(img, (int, Fraction, str)):
                 img = Poly.const(out_vars, as_frac(img))
             elif img.vars != out_vars:
                 img = img.lift(out_vars)
-            images.append(img)
-        # cache powers of each image
-        pows: list[dict] = [dict() for _ in images]
-        total = Poly(out_vars, {})
+            if len(img.terms) == 1:
+                ((exp, c),) = img.terms.items()
+                single.append((idx, exp, c))
+            else:
+                multi.append((idx, [Poly.const(out_vars, 1), img]))
+        groups: dict = {}
+        zero = (0,) * len(out_vars)
         for e, c in self.terms.items():
-            term = Poly.const(out_vars, c)
-            for idx, k in enumerate(e):
-                if k < 0:
-                    raise ValueError("compose does not accept Laurent exponents")
+            if any(k < 0 for k in e):
+                raise ValueError("compose does not accept Laurent exponents")
+            exp = zero
+            for idx, shift, a in single:
+                k = e[idx]
                 if k:
-                    cache = pows[idx]
-                    if k not in cache:
-                        cache[k] = images[idx] ** k
-                    term = term * cache[k]
-            total = total + term
-        return total
+                    c = c * a**k
+                    exp = tuple(x + k * s for x, s in zip(exp, shift))
+            group = groups.setdefault(tuple(e[idx] for idx, _ in multi), {})
+            group[exp] = group.get(exp, 0) + c
+        out: dict = {}
+        for key, group in groups.items():
+            part = Poly(out_vars, group)
+            prod = None
+            for k, (_, pows) in zip(key, multi):
+                if k:
+                    while len(pows) <= k:
+                        pows.append(pows[-1] * pows[1])
+                    prod = pows[k] if prod is None else prod * pows[k]
+            if prod is not None:
+                part = prod * part
+            for exp, c in part.terms.items():
+                out[exp] = out.get(exp, 0) + c
+        return Poly(out_vars, out)
 
     # -- serialization -------------------------------------------------------
 
@@ -421,23 +411,12 @@ def homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly) -> Pol
     """Clear denominators in p(..., num_y/denom, num_z/denom) * denom**n.
 
     Every term c * rest * y^i z^j becomes c * rest * num_y^i num_z^j denom^(n-i-j);
-    the (y, z) degree of every term must be at most n.
+    the (y, z) degree of every term must be at most n.  The exponent n-i-j goes
+    to one auxiliary variable, and `Poly.compose` substitutes all three.
     """
     iy = p.vars.index("y")
     iz = p.vars.index("z")
-    num_y = num_y.lift(p.vars) if num_y.vars != p.vars else num_y
-    num_z = num_z.lift(p.vars) if num_z.vars != p.vars else num_z
-    denom = denom.lift(p.vars) if denom.vars != p.vars else denom
-    py: dict[int, Poly] = {0: Poly.const(p.vars, 1)}
-    pz: dict[int, Poly] = {0: Poly.const(p.vars, 1)}
-    pd: dict[int, Poly] = {0: Poly.const(p.vars, 1)}
-
-    def power(cache, base, k):
-        if k not in cache:
-            cache[k] = power(cache, base, k - 1) * base
-        return cache[k]
-
-    total = Poly(p.vars, {})
+    terms = {}
     for e, c in p.terms.items():
         i, j = e[iy], e[iz]
         if i < 0 or j < 0:
@@ -446,15 +425,11 @@ def homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly) -> Pol
             raise DegreeExceedsHomogenizer(
                 f"term with (y,z)-degree {i + j} exceeds bound {n}"
             )
-        rest = list(e)
-        rest[iy] = 0
-        rest[iz] = 0
-        term = Poly.monomial(p.vars, rest, c)
-        term = term * power(py, num_y, i)
-        term = term * power(pz, num_z, j)
-        term = term * power(pd, denom, n - i - j)
-        total = total + term
-    return total
+        terms[e + (n - i - j,)] = c
+    aux = "/".join(p.vars) + "/"  # longer than every variable name, so new
+    mapping = {v: Poly.variable(p.vars, v) for v in p.vars}
+    mapping.update({"y": num_y, "z": num_z, aux: denom})
+    return Poly(p.vars + (aux,), terms).compose(p.vars, mapping)
 
 
 def homog_substitute(p: Poly, n: int, mode: str) -> Poly:
@@ -553,73 +528,6 @@ def column_analysis(rows, cols) -> tuple:
     if first < 0:
         vec = [-x for x in vec]
     return rank, tuple(vec)
-
-
-# ---------------------------------------------------------------------------
-# Eisenstein-style quadratic scalars: a + b*t with t**2 = -1 - t
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EisensteinScalar:
-    """Element a + b*t of Q(t) where t is a primitive cube root of unity."""
-
-    a: Fraction
-    b: Fraction
-
-    @classmethod
-    def of(cls, a, b=0) -> "EisensteinScalar":
-        return cls(as_frac(a), as_frac(b))
-
-    def __add__(self, other):
-        other = _eis(other)
-        return EisensteinScalar(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EisensteinScalar(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-_eis(other))
-
-    def __rsub__(self, other):
-        return _eis(other) + (-self)
-
-    def __mul__(self, other):
-        other = _eis(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinScalar(a * c - b * d, a * d + b * c - b * d)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = EisensteinScalar(Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def conj(self) -> "EisensteinScalar":
-        return EisensteinScalar(self.a - self.b, -self.b)
-
-    def divq(self, r) -> "EisensteinScalar":
-        r = as_frac(r)
-        return EisensteinScalar(self.a / r, self.b / r)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-
-def _eis(x) -> EisensteinScalar:
-    if isinstance(x, EisensteinScalar):
-        return x
-    return EisensteinScalar(as_frac(x), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    EisensteinScalar,
     Poly,
     homog_general,
     homog_substitute,
@@ -90,17 +89,6 @@ def _skip(suite, check, name, why) -> CheckReport:
     return CheckReport(suite, check, name, "skip", detail=why)
 
 
-def swap_yz(p: Poly) -> Poly:
-    iy, iz = p.vars.index("y"), p.vars.index("z")
-
-    def sw(e):
-        e = list(e)
-        e[iy], e[iz] = e[iz], e[iy]
-        return tuple(e)
-
-    return Poly(p.vars, {sw(e): c for e, c in p.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # suite: basic structural properties
 # ---------------------------------------------------------------------------
@@ -114,7 +102,9 @@ def verify_basic(
         return [_skip(suite, "all", name, "representation not unimodular")]
     out = []
     p = a_poly(om, budget=budget, jobs=jobs)
-    out.append(_cmp(suite, "symmetry-y-z", name, p, swap_yz(p)))
+    qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
+    swapped = p.compose(QYZ, {"q": qv, "y": zv, "z": yv})
+    out.append(_cmp(suite, "symmetry-y-z", name, p, swapped))
 
     n = om.n
     xyz = ("x", "y", "z")
@@ -146,7 +136,6 @@ def verify_basic(
                 a_poly(om.delete(1 << a), budget=budget, jobs=jobs),
             )
         )
-    qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
     coloop_factor = 1 + (qv - 1) * Fraction(1, 2) * (yv + zv)
     for a in bits_of(om.coloops_mask):
         out.append(
@@ -353,10 +342,10 @@ def verify_reciprocity(
         yb, zb = Poly.variable(YZ, "y"), Poly.variable(YZ, "z")
         rhs12 = sign_r * p_at_m1.compose(YZ, {"y": 1 + yb, "z": 1 + zb})
         out.append(_cmp(suite, "acyclic-deletions", name, acy_del, rhs12))
-        rhs22 = sign_r * homog_substitute(p, n, "shifted").subs_scalar("q", -1)
+        rhs22 = sign_r * homog_substitute(p_at_m1, n, "shifted")
         out.append(_cmp(suite, "totally-cyclic-deletions", name, tc_del, rhs22))
         out.append(_cmp(suite, "acyclic-contractions", name, acy_con, p_at_m1))
-        rhs42 = homog_substitute(p, n, "plain").subs_scalar("q", -1)
+        rhs42 = homog_substitute(p_at_m1, n, "plain")
         out.append(_cmp(suite, "totally-cyclic-contractions", name, tc_con, rhs42))
     else:
         out.append(_skip(suite, "partition-sums", name, f"n={n} exceeds partition cap"))
@@ -402,6 +391,20 @@ def verify_reciprocity(
 # ---------------------------------------------------------------------------
 # suite: duality
 # ---------------------------------------------------------------------------
+
+
+def _at_cube_root(p: Poly) -> tuple:
+    """(a, b) with p(t) = a + b*t at a primitive cube root of unity t, for p
+    univariate in t: reduce with t^3 = 1 and t^2 = -1 - t."""
+    a = b = Fraction(0)
+    for (k,), c in p.terms.items():
+        if k % 3 == 0:
+            a += c
+        elif k % 3 == 1:
+            b += c
+        else:
+            a, b = a - c, b - c
+    return a, b
 
 
 def _duality_points(n: int):
@@ -454,23 +457,23 @@ def verify_duality(
     )
     out.append(_cmp(suite, "dual-at-minus-one", name, lhs, rhs))
 
-    # (b) at q = 3 the duality needs a cube root of unity; check pointwise
-    t = EisensteinScalar.of(0, 1)
-    tbar = t.conj()
+    # (b) at q = 3 the duality needs a primitive cube root of unity t.  At
+    # each point the dual statistics are composed with u(t) and v(t), linear
+    # in t over Q, and reduced with t^3 = 1, t^2 = -1 - t.  The point passes
+    # when the t-part is 0 and the rational part times the prefactor equals
+    # the direct value.
+    tv = Poly.variable(("t",), "t")
     stats3 = a_eval(om, 3, budget=budget, jobs=jobs)
     stats3_dual = a_eval(dual, 3, budget=budget, jobs=jobs)
     bad = []
     for y0, z0 in _duality_points(n):
         denom = 1 + y0 + z0
-        u = (tbar * y0 + t * z0 + 1).divq(denom)
-        v = (t * y0 + tbar * z0 + 1).divq(denom)
-        rhs_val = stats3_dual.eval_scalars({"y": u, "z": v})
-        if not isinstance(rhs_val, EisensteinScalar):
-            rhs_val = EisensteinScalar.of(rhs_val)
+        # u = (conj(t) y0 + t z0 + 1) / denom and v = (t y0 + conj(t) z0 + 1) / denom
+        u = (1 - y0 + (z0 - y0) * tv) * Fraction(1, denom)
+        v = (1 - z0 + (y0 - z0) * tv) * Fraction(1, denom)
+        rat, irr = _at_cube_root(stats3_dual.compose(("t",), {"y": u, "z": v}))
         pref = Fraction(denom) ** n / Fraction(3) ** (n - r)
-        rhs_val = rhs_val * pref
-        lhs_val = stats3.eval_frac({"y": y0, "z": z0})
-        if not (rhs_val.is_rational() and rhs_val.a == lhs_val):
+        if irr or rat * pref != stats3.eval_frac({"y": y0, "z": z0}):
             bad.append((y0, z0))
     out.append(
         CheckReport(

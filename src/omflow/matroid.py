@@ -10,9 +10,9 @@ bitmasks.  A signed circuit is a pair of disjoint bitmasks
 pair {C, -C}, namely the one whose lowest support element is on the
 positive side, sorted for determinism.
 
-Rows are the input format.  `from_matrix`, `from_digraph`, `dual` and
-`double` enumerate circuits from a matrix and keep it; a minor, a
-reorientation or a direct sum is its circuits alone, read off its parent's.
+Rows are the input format.  `from_matrix`, `from_digraph` and `dual`
+enumerate circuits from a matrix and keep it; a minor, a reorientation, a
+direct sum or a double is its circuits alone, read off its parent's.
 Every rank, basis and flat question is answered from the full circuit list,
 for any matroid (Oxley, *Matroid Theory*):
 
@@ -26,12 +26,13 @@ the lex basis B, built on first read: A[b, a] is minus the sign of b in the
 fundamental circuit of a, oriented with a positive.  This is exact for a
 matroid certified regular.  Such a matroid has a representation D whose
 circuits' kernel vectors all rescale to {-1, 0, 1}: its input's certified
-matrix, eliminated on the contracted columns, restricted, column-negated or
-put block-diagonal, whose circuits' kernel vectors are restrictions or
-negations of the parent's.  Row-reducing D onto B gives [I | A'] with the
-same row space, so the same signed circuits; the kernel vector of the
-fundamental circuit of a is 1 at a and -A'[., a] on B, and it rescales to
-{-1, 0, 1} with a positive, so it is the circuit's sign vector and A' = A.
+matrix, eliminated on the contracted columns, restricted, column-negated,
+put block-diagonal or set beside its negation.  Its circuits' kernel vectors
+are the parent's, restricted, with some entries negated or moved to the
+negated copy.  Row-reducing D onto B gives [I | A'] with the same row
+space, so the same signed circuits; the kernel vector of the fundamental
+circuit of a is 1 at a and -A'[., a] on B, and it rescales to {-1, 0, 1}
+with a positive, so it is the circuit's sign vector and A' = A.
 A derived matroid without the certificate raises NotTotallyUnimodular
 instead, as [I | A] need not represent it.
 """
@@ -255,8 +256,8 @@ class OrientedMatroid:
 
     @property
     def rows(self) -> tuple:
-        """The matrix this matroid was built from; for a minor, reorientation
-        or direct sum, its standard representation (module docstring)."""
+        """The matrix this matroid was built from; for a minor, reorientation,
+        direct sum or double, its standard representation (module docstring)."""
         if self._rows is None:
             if self.tu_status != "true":
                 raise NotTotallyUnimodular(
@@ -438,11 +439,26 @@ class OrientedMatroid:
     # -- doubling and sums -------------------------------------------------------
 
     def double(self) -> "OrientedMatroid":
-        """Adjoin a negated copy e' of every element e."""
-        rows = [list(row) + [-x for x in row] for row in self.rows]
+        """Adjoin a negated copy e' of every element e.
+
+        The circuits are the positive pairs {e, e'} of the non-loops, and
+        every circuit with any subset of its elements swapped for their
+        copies, whose signs flip; no rows are read.
+        """
+        n, loops = self.n, self.loops_mask
         labels = list(self.labels) + [lab + "'" for lab in self.labels]
-        circuits, _ = _circuits_from_matrix(mat_from_rows(rows), 2 * self.n)
-        return OrientedMatroid(labels, self.tu_status, circuits, rows=rows, check_axioms=True)
+        circuits = [SignedSubset(1 << e | 1 << (e + n), 0)
+                    for e in range(n) if not loops >> e & 1]
+        for c in self.circuits:
+            swap = c.support
+            while True:
+                moved = SignedSubset((c.pos & ~swap) | (c.neg & swap) << n,
+                                     (c.neg & ~swap) | (c.pos & swap) << n)
+                circuits.append(moved.canonical())
+                if not swap:
+                    break
+                swap = (swap - 1) & c.support
+        return OrientedMatroid(labels, self.tu_status, _sorted_circuits(circuits))
 
     def direct_sum(self, other: "OrientedMatroid") -> "OrientedMatroid":
         labels = list(self.labels) + list(other.labels)

@@ -137,33 +137,14 @@ def _assemble(acc: dict, num_blocks: int, rank: int, mode: int) -> Poly:
     """Shared tail of t1/t2: expand sum of c*(x-1)^k*(y-1)^k*f(y,i) terms and
     divide by (y-1)^rank.
 
-    mode 1: f = y^(E-i);  mode 2: f = (2-y)^i * y^(E-i) / 2^E.
+    mode 1: f = y^(E-i);  mode 2: f = (2-y)^i * y^(E-i) / 2^E.  E - i >= 0,
+    as an opposite pair has at most one positive value and a pair of loops
+    none.
     """
-    xm1: dict[int, Poly] = {0: Poly.const(("x",), 1)}
-    ym1: dict[int, Poly] = {0: Poly.const(("y",), 1)}
-    two_m_y: dict[int, Poly] = {0: Poly.const(("y",), 1)}
-    x_base = Poly.variable(("x",), "x") - 1
-    y_base = Poly.variable(("y",), "y") - 1
-    t_base = 2 - Poly.variable(("y",), "y")
-
-    def power(cache, base, k):
-        while k not in cache:
-            m = max(cache)
-            cache[m + 1] = cache[m] * base
-        return cache[k]
-
-    out: dict = {}
-    for (k, i), c in acc.items():
-        ypart = power(ym1, y_base, k)
-        if mode == 2:
-            ypart = ypart * power(two_m_y, t_base, i)
-        ypart = ypart * Poly.monomial(("y",), (num_blocks - i,), 1)
-        xpart = power(xm1, x_base, k)
-        for (ex,), cx in xpart.terms.items():
-            for (ey,), cy in ypart.terms.items():
-                key = (ex, ey)
-                out[key] = out.get(key, Fraction(0)) + c * cx * cy
-    total = Poly(XY, out)
+    table = Poly(("k", "i", "rest"), {(k, i, num_blocks - i): c for (k, i), c in acc.items()})
+    x, y = (Poly.variable(XY, v) for v in XY)
+    f_i = 2 - y if mode == 2 else 1
+    total = table.compose(XY, {"k": (x - 1) * (y - 1), "i": f_i, "rest": y})
     if mode == 2:
         total = total * Fraction(1, 2**num_blocks)
     try:

@@ -4,8 +4,8 @@ These depend only on the rank function of the underlying matroid, never on
 signs, and serve as the independent reference side for the coflow-based
 identities.  The rank function is read from the circuit list
 (`OrientedMatroid.rank_of`).  One walk over the 2^n element subsets counts
-them by (corank, nullity); `tutte` and `potts` expand that table once, term
-by term.
+them by (corank, nullity); `tutte` and `potts` read that table as a
+polynomial and change its variables (`Poly.compose`).
 """
 
 from __future__ import annotations
@@ -36,24 +36,21 @@ def _corank_nullity(om: OrientedMatroid, budget: int) -> dict:
 
 def tutte(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     """Corank-nullity expansion: sum_S (x-1)^(r-r(S)) (y-1)^(|S|-r(S))."""
-    x1 = Poly.variable(XY, "x") - 1
-    y1 = Poly.variable(XY, "y") - 1
-    total = Poly(XY, {})
-    for (a, b), c in _corank_nullity(om, budget).items():
-        total = total + c * x1**a * y1**b
-    return total
+    table = Poly(("corank", "nullity"), _corank_nullity(om, budget))
+    x, y = (Poly.variable(XY, v) for v in XY)
+    return table.compose(XY, {"corank": x - 1, "nullity": y - 1})
 
 
 def potts(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     """Partition-function form: sum_S y^(|E|-|S|) (1-y)^|S| q^(rank(E)-rank(S))."""
-    q = Poly.variable(QY, "q")
-    y = Poly.variable(QY, "y")
     r = om.rank
-    total = Poly(QY, {})
+    terms = {}
     for (a, b), c in _corank_nullity(om, budget).items():
         k = r - a + b  # |S|
-        total = total + c * y ** (om.n - k) * (1 - y) ** k * q**a
-    return total
+        terms[(a, om.n - k, k)] = c
+    table = Poly(("corank", "outside", "inside"), terms)
+    q, y = (Poly.variable(QY, v) for v in QY)
+    return table.compose(QY, {"corank": q, "outside": y, "inside": 1 - y})
 
 
 def characteristic(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:

@@ -22,11 +22,13 @@ from omflow.algebra import json_dumps_canonical
 from omflow.coflows import a_poly, b_poly, char_pair, digraph_a_eval
 from omflow.fixtures import corpus_poms, default_corpus
 from omflow.identities import run_suites
+from omflow.matroid import CIRCUIT_GROUND_CAP
 from omflow.pom import t1, t2
-from omflow.tutte import tutte
+from omflow.tutte import characteristic, potts, tutte
 
 DIGESTS = Path(__file__).with_name("digests.json")
 SUITE_STRIDE = 8  # the suite reports cover every 8th corpus instance
+POTTS_STRIDE = 2  # potts and characteristic cover every 2nd instance
 
 
 def _circuits(om) -> list:
@@ -51,6 +53,14 @@ def _share(part: int, parts: int) -> dict:
         add("a_poly+char_pair", name, {"a": a_poly(om).to_json_obj(),
                                        "strict": cp.strict.to_json_obj(),
                                        "weak": cp.weak.to_json_obj()})
+    doublable = [(name, om) for name, om, _ in corpus if 2 * om.n <= CIRCUIT_GROUND_CAP]
+    for name, om in doublable[part::parts]:
+        dbl = om.double()
+        add("double", name, {"tu_status": dbl.tu_status, "labels": list(dbl.labels),
+                             "key": [dbl.n, _circuits(dbl)]})
+    for name, om, _ in corpus[::POTTS_STRIDE][part::parts]:
+        add("potts+characteristic", name, {"potts": potts(om).to_json_obj(),
+                                           "char": characteristic(om).to_json_obj()})
     digraphs = [(name, d) for name, _, d in corpus if d is not None]
     for name, d in digraphs[part::parts]:
         evals = {str(q): digraph_a_eval(d, q).to_json_obj() for q in (1, 3, 5)}

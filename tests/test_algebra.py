@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omflow.algebra import (
-    EisensteinScalar,
     Poly,
+    as_frac,
     column_analysis,
     f2_enumerate,
     f2_span,
@@ -26,6 +26,7 @@ from omflow.errors import (
     DuplicateNode,
     NonPolynomialResult,
 )
+from omflow.identities import _at_cube_root
 
 Q = Fraction
 YZ = ("y", "z")
@@ -33,6 +34,104 @@ YZ = ("y", "z")
 
 def P(vars, terms):
     return Poly(vars, terms)
+
+
+# -- oracles: the term-by-term substitutions that `Poly.compose` replaced ----
+
+
+def oracle_compose(self, out_vars: tuple[str, ...], mapping: dict) -> "Poly":
+    """Substitute every variable by a Poly over `out_vars` (or a scalar).
+
+    Requires all exponents nonnegative.
+    """
+    out_vars = tuple(out_vars)
+    images = []
+    for v in self.vars:
+        img = mapping[v]
+        if isinstance(img, (int, Fraction, str)):
+            img = Poly.const(out_vars, as_frac(img))
+        elif img.vars != out_vars:
+            img = img.lift(out_vars)
+        images.append(img)
+    # cache powers of each image
+    pows: list[dict] = [dict() for _ in images]
+    total = Poly(out_vars, {})
+    for e, c in self.terms.items():
+        term = Poly.const(out_vars, c)
+        for idx, k in enumerate(e):
+            if k < 0:
+                raise ValueError("compose does not accept Laurent exponents")
+            if k:
+                cache = pows[idx]
+                if k not in cache:
+                    cache[k] = images[idx] ** k
+                term = term * cache[k]
+        total = total + term
+    return total
+
+
+def oracle_homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly) -> Poly:
+    """Clear denominators in p(..., num_y/denom, num_z/denom) * denom**n.
+
+    Every term c * rest * y^i z^j becomes c * rest * num_y^i num_z^j denom^(n-i-j);
+    the (y, z) degree of every term must be at most n.
+    """
+    iy = p.vars.index("y")
+    iz = p.vars.index("z")
+    num_y = num_y.lift(p.vars) if num_y.vars != p.vars else num_y
+    num_z = num_z.lift(p.vars) if num_z.vars != p.vars else num_z
+    denom = denom.lift(p.vars) if denom.vars != p.vars else denom
+    py: dict[int, Poly] = {0: Poly.const(p.vars, 1)}
+    pz: dict[int, Poly] = {0: Poly.const(p.vars, 1)}
+    pd: dict[int, Poly] = {0: Poly.const(p.vars, 1)}
+
+    def power(cache, base, k):
+        if k not in cache:
+            cache[k] = power(cache, base, k - 1) * base
+        return cache[k]
+
+    total = Poly(p.vars, {})
+    for e, c in p.terms.items():
+        i, j = e[iy], e[iz]
+        if i < 0 or j < 0:
+            raise ValueError("homogenization needs nonnegative exponents")
+        if i + j > n:
+            raise DegreeExceedsHomogenizer(
+                f"term with (y,z)-degree {i + j} exceeds bound {n}"
+            )
+        rest = list(e)
+        rest[iy] = 0
+        rest[iz] = 0
+        term = Poly.monomial(p.vars, rest, c)
+        term = term * power(py, num_y, i)
+        term = term * power(pz, num_z, j)
+        term = term * power(pd, denom, n - i - j)
+        total = total + term
+    return total
+
+
+small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def polys(vars, max_exp=3, min_size=0, max_size=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return st.dictionaries(exps, small_fracs, min_size=min_size, max_size=max_size).map(
+        lambda terms: Poly(vars, terms)
+    )
+
+
+XY = ("x", "y")
+# images of every shape `compose` tells apart: scalars (also as strings), the
+# zero polynomial, monomials, multi-term polys and polys over fewer variables
+images = st.one_of(
+    st.integers(-3, 3),
+    small_fracs,
+    small_fracs.map(str),
+    st.just(Poly(XY, {})),
+    polys(XY, max_size=1),
+    polys(XY, min_size=2, max_size=4),
+    polys(("y",), max_size=3),
+)
 
 
 class TestPoly:
@@ -47,14 +146,6 @@ class TestPoly:
         y = Poly.variable(YZ, "y")
         assert (y - y).is_zero()
         assert not (y * 0)
-
-    def test_coeff_and_degree(self):
-        q, y, z = (Poly.variable(("q", "y", "z"), v) for v in ("q", "y", "z"))
-        p = 3 * q**2 * y + z - 7
-        assert p.degree("q") == 2
-        assert p.coeff("q", 2) == 3 * Poly.variable(YZ, "y")
-        assert p.coeff("q", 0) == Poly.variable(YZ, "z") - 7
-        assert Poly(YZ, {}).degree("y") == -1
 
     def test_eval(self):
         y = Poly.variable(YZ, "y")
@@ -72,6 +163,19 @@ class TestPoly:
         x2 = Poly.variable(xy, "x")
         got = p.compose(xy, {"y": x2 + 1, "z": Q(2)})
         assert got == 3 * x2 + 3
+
+    @given(polys(("a", "b", "c")), images, images, images)
+    @settings(max_examples=150, deadline=None)
+    def test_compose_matches_oracle(self, p, a, b, c):
+        mapping = {"a": a, "b": b, "c": c}
+        assert p.compose(XY, mapping) == oracle_compose(p, XY, mapping)
+
+    def test_compose_refuses_laurent_exponents(self):
+        p = Poly(YZ, {(1, 0): Q(1), (0, -1): Q(2)})
+        mapping = {"y": Poly.variable(YZ, "y"), "z": Q(3)}
+        for fn in (Poly.compose, oracle_compose):
+            with pytest.raises(ValueError, match="Laurent"):
+                fn(p, YZ, mapping)
 
     @given(
         st.lists(
@@ -217,6 +321,28 @@ class TestHomog:
             assert got == direct * d0**n
 
 
+    @given(polys(("q", "y", "z")), st.integers(-1, 2), polys(YZ, max_size=3),
+           polys(YZ, max_size=3), polys(YZ, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_general_matches_oracle(self, p, slack, ny, nz, den):
+        # n is the (y, z) degree of p plus the slack; slack -1 overshoots it
+        n = max(0, max((i + j for _, i, j in p.terms), default=0) + slack)
+        try:
+            want = oracle_homog_general(p, n, ny, nz, den)
+        except DegreeExceedsHomogenizer:
+            with pytest.raises(DegreeExceedsHomogenizer):
+                homog_general(p, n, ny, nz, den)
+        else:
+            assert homog_general(p, n, ny, nz, den) == want
+
+    def test_general_refuses_negative_yz_exponents(self):
+        p = Poly(("q", "y", "z"), {(1, -1, 0): Q(1)})
+        one = Poly.const(YZ, 1)
+        for fn in (homog_general, oracle_homog_general):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(p, 2, one, one, one)
+
+
 class TestMatrices:
     def test_rank(self):
         m = mat_from_rows([[1, 0, 1, 1], [0, 1, 1, -1]])
@@ -245,25 +371,29 @@ class TestMatrices:
 
 
 class TestEisenstein:
+    """Q(t) at a primitive cube root of unity t, as polynomials in t reduced
+    by `_at_cube_root`."""
+
+    T = ("t",)
+
     def test_defining_relation(self):
-        t = EisensteinScalar.of(0, 1)
-        assert t * t == EisensteinScalar.of(-1, -1)
-        assert t**3 == EisensteinScalar.of(1, 0)
+        t = Poly.variable(self.T, "t")
+        assert _at_cube_root(t * t) == (-1, -1)
+        assert _at_cube_root(t**3) == (1, 0)
 
     @given(st.fractions(), st.fractions())
     @settings(max_examples=50, deadline=None)
     def test_conjugate_norm_is_rational(self, a, b):
-        x = EisensteinScalar.of(a, b)
-        n = x * x.conj()
-        assert n.is_rational()
-        assert n.a == a * a - a * b + b * b
+        t = Poly.variable(self.T, "t")
+        x = a + b * t
+        conj = a - b - b * t  # a + b * t^2
+        assert _at_cube_root(x * conj) == (a * a - a * b + b * b, 0)
 
     def test_poly_evaluation(self):
-        yz = YZ
-        p = Poly.variable(yz, "y") * Poly.variable(yz, "z") + 1
-        t = EisensteinScalar.of(0, 1)
-        got = p.eval_scalars({"y": t, "z": t.conj()})
-        assert got == EisensteinScalar.of(2, 0)  # t * conj(t) = 1
+        p = Poly.variable(YZ, "y") * Poly.variable(YZ, "z") + 1
+        t = Poly.variable(self.T, "t")
+        got = p.compose(self.T, {"y": t, "z": -1 - t})
+        assert _at_cube_root(got) == (2, 0)  # t * conj(t) = 1
 
 
 class TestF2:

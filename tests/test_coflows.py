@@ -231,8 +231,8 @@ class TestAPoly:
     def test_degree_bounds(self):
         for om in (coloop(), digon(), triangle()):
             p = a_poly(om)
-            assert p.degree("q") <= om.rank
             for (k, i, j) in p.terms:
+                assert k <= om.rank
                 assert i + j <= om.n
 
     def test_symmetry_in_y_z(self):
@@ -441,7 +441,7 @@ class TestDigraphRoutes:
 
     def test_b_poly_degree(self):
         d = Digraph.make(3, [(0, 1), (1, 2), (2, 0)])
-        assert b_poly(d).degree("q") <= 3
+        assert all(k <= 3 for k, _, _ in b_poly(d).terms)
 
     @pytest.mark.parametrize("nv", [0, 3])
     def test_arcless_digraphs(self, nv):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from omflow import identities
 from omflow.algebra import Poly
 from omflow.coflows import a_poly
 from omflow.fixtures import doubled_matroid, get_fixture
@@ -12,6 +13,7 @@ from omflow.identities import (
     CheckReport,
     _cmp,
     run_suites,
+    verify_duality,
     verify_tutte_relations,
 )
 from omflow.matroid import Digraph, OrientedMatroid, reindex_mask
@@ -69,6 +71,27 @@ def test_cmp_reports_mismatch():
     r = _cmp("s", "c", "i", one, two)
     assert r.status == "fail" and not r.ok and "lhs=" in r.detail
     assert isinstance(r, CheckReport) and _cmp("s", "c", "i", one, one).ok
+
+
+@pytest.mark.parametrize("fixture", ["fig-exp-Apoly", "fig-cocycle-classes"])
+def test_dual_at_three_fails_on_one_perturbed_dual_coefficient(fixture, monkeypatch):
+    om, _ = get_fixture(fixture)
+    dual = om.dual()
+    real_a_eval = identities.a_eval
+
+    def perturbed(m, q, **kw):
+        stats = real_a_eval(m, q, **kw)
+        if m is dual and q == 3:
+            stats = stats + Poly.monomial(stats.vars, min(stats.terms), 1)
+        return stats
+
+    reports = {r.check: r for r in verify_duality(om, fixture)}
+    assert reports["dual-at-three"].status == "pass"
+    monkeypatch.setattr(identities, "a_eval", perturbed)
+    reports = {r.check: r for r in verify_duality(om, fixture)}
+    assert reports["dual-at-three"].status == "fail"
+    assert reports["dual-at-three"].detail.startswith("mismatch at points")
+    assert reports["dual-at-minus-one"].status == "pass"
 
 
 def test_minor_reoriented_commutes_with_reorient_first():

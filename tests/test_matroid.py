@@ -86,6 +86,15 @@ def reoriented_rows(rows, smask):
     ]
 
 
+def double_from_rows(om) -> OrientedMatroid:
+    """Oracle for `OrientedMatroid.double`: enumerate the circuits of the
+    rows set beside their negation."""
+    rows = [list(row) + [-x for x in row] for row in om.rows]
+    labels = list(om.labels) + [lab + "'" for lab in om.labels]
+    circuits, _ = _circuits_from_matrix(mat_from_rows(rows), 2 * om.n)
+    return OrientedMatroid(labels, om.tu_status, circuits, rows=rows, check_axioms=True)
+
+
 def stabilizer(m) -> list:
     """Reorientation sets fixing the circuit signature (as bitmasks)."""
     base = set(m.circuits)
@@ -315,6 +324,34 @@ class TestStabilizerDoubling:
         assert d.rank == m.rank
         assert len(d.opposite_pairs()) == 3
         assert d.labels == ("a", "b", "c", "a'", "b'", "c'")
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_double_matches_row_oracle(self, data):
+        # corpus instances; regular ones through a random minor, reorientation
+        # and maybe an extra loop (a derived non-regular matroid has no rows).
+        # n <= 7 keeps the doubled ground, loop included, within the cap
+        m = data.draw(st.sampled_from([om for om in corpus_oms() if om.n <= 7]))
+        if m.tu_status == "true":
+            rnd = data.draw(st.randoms(use_true_random=False))
+            elems = list(range(m.n))
+            rnd.shuffle(elems)
+            k = rnd.randint(0, m.n)
+            m = m.minor(delete=mask_of(elems[: k // 2]), contract=mask_of(elems[k // 2 : k]))
+            m = m.reorient(rnd.getrandbits(m.n))
+            if rnd.random() < 0.3:
+                m = m.direct_sum(OrientedMatroid.from_digraph(Digraph.make(1, [(0, 0)])))
+        got, want = m.double(), double_from_rows(m)
+        assert got.labels == want.labels
+        assert got.tu_status == want.tu_status
+        assert got.canonical_key() == want.canonical_key()
+
+    def test_double_keeps_loops_apart(self):
+        m = OrientedMatroid.from_digraph(Digraph.make(2, [(0, 0), (0, 1)], ["l", "a"]))
+        d = m.double()
+        assert d.loops_mask == 0b0101
+        assert d.opposite_pairs() == [(1, 3)]
+        assert d.canonical_key() == double_from_rows(m).canonical_key()
 
     def test_direct_sum(self):
         m = triangle().direct_sum(digon())
