@@ -1,28 +1,43 @@
 """Exact polynomial and linear algebra over the rationals.
 
-Everything in this module is exact: coefficients are `fractions.Fraction`,
-matrices are tuples of tuples of Fractions, and GF(2) vectors are plain ints
-used as bitmasks.  No floats anywhere.
+Everything in this module is exact: matrices are tuples of tuples of
+Fractions, and GF(2) vectors are plain ints used as bitmasks.  No floats
+anywhere.
 
 The central object is :class:`Poly`, a sparse polynomial in a fixed, named
-tuple of variables.  Exponents are allowed to go negative *internally* (a few
-intermediate results are honest Laurent polynomials); serialization refuses
-negative exponents, so anything that escapes the package is a genuine
-polynomial.
+tuple of variables.  A coefficient is stored as an `int` when it is integral
+and as a `fractions.Fraction` (denominator above 1) otherwise, so the integer
+polynomials that counting produces are multiplied and added in plain ints.
+Exponents are allowed to go negative *internally* (a few intermediate
+results are honest Laurent polynomials); serialization refuses negative
+exponents, so anything that escapes the package is a genuine polynomial.
 
 :meth:`Poly.compose` is the one substitution of polynomials into a
 polynomial; homogenization, the Tutte/Potts expansions, t1/t2 and the duality
 checks are all changes of variables through it.  A single-term image (a
 scalar, a variable, a monomial) only scales and shifts each term; the terms
-are grouped by the exponents of the other variables, so each group costs one
-multiplication by cached powers of those images.
+are grouped by the exponents of the other images, and each group is
+multiplied by the product of those images' powers.
+
+Two caches, both bounded by a constant, survive across calls:
+
+* `_PRODUCTS` holds the powers, and the products of powers, of the images
+  that `compose` has been given, with their denominators cleared so every
+  coefficient is an int.  The same few images (1 + y, y - 1, 1 + y + z, ...)
+  recur for every instance, so most groups find their product there.  It
+  forgets its oldest entry first once it holds `PRODUCT_CACHE_SIZE`.
+* `_lagrange_rows` (an `lru_cache`) holds the Lagrange coefficient rows of
+  each interpolation node tuple as integers over one common denominator.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import (
     DegreeExceedsHomogenizer,
@@ -44,17 +59,80 @@ def as_frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _ratio(num: int, den: int):
+    """num / den as an int when it divides, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _lcm_den(values) -> int:
+    """Least common multiple of the denominators of ints and Fractions."""
+    return math.lcm(*(c.denominator for c in values))
+
+
+def _normal(c):
+    """A coefficient as `Poly` stores it: an int when integral."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two {exponents: coefficient} dicts, as `Poly` stores terms."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: _normal(c) for e, c in out.items() if c}
+
+
+# products of powers of `compose` images, keyed by (image, k) for one power
+# and by (images, exponents) for a product; first in, first out
+PRODUCT_CACHE_SIZE = 1024
+_PRODUCTS: dict = {}
+
+
+def _remember(key, value: dict) -> dict:
+    if len(_PRODUCTS) >= PRODUCT_CACHE_SIZE:
+        del _PRODUCTS[next(iter(_PRODUCTS))]
+    _PRODUCTS[key] = value
+    return value
+
+
+def _power(image: tuple, k: int) -> dict:
+    """Terms of image**k, k >= 1, for an image given as sorted integer terms;
+    every power on the way is cached."""
+    base = hit = dict(image)
+    for j in range(1, k + 1):
+        cached = _PRODUCTS.get((image, j))
+        if cached is None:
+            cached = _remember((image, j), hit if j == 1 else _mul_terms(hit, base))
+        hit = cached
+    return hit
+
+
+def _product(images: tuple, key: tuple) -> dict:
+    """Terms of the product of images[i]**key[i], some key[i] nonzero."""
+    hit = _PRODUCTS.get((images, key))
+    if hit is None:
+        for image, k in zip(images, key):
+            if k:
+                p = _power(image, k)
+                hit = p if hit is None else _mul_terms(hit, p)
+        hit = _remember((images, key), hit)
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # sparse polynomials
 # ---------------------------------------------------------------------------
 
 
 class Poly:
-    """Sparse polynomial with named variables and Fraction coefficients.
+    """Sparse polynomial with named variables and rational coefficients.
 
     `terms` maps exponent tuples (one entry per variable, ints) to nonzero
-    Fractions.  Instances are immutable in spirit; nothing mutates `terms`
-    after construction.
+    coefficients: an `int` when integral, else a `Fraction`.  Instances are
+    immutable in spirit; nothing mutates `terms` after construction.
     """
 
     __slots__ = ("vars", "terms")
@@ -64,13 +142,22 @@ class Poly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = as_frac(c)
+                if type(c) is not int:
+                    c = _normal(as_frac(c))
                 if c:
                     exp = tuple(exp)
                     if len(exp) != len(self.vars):
                         raise ValueError("exponent arity mismatch")
                     clean[exp] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, vars: tuple, terms: dict) -> "Poly":
+        """Wrap terms already as `__init__` stores them: exponent tuples of
+        the right length to nonzero coefficients, ints when integral."""
+        p = cls.__new__(cls)
+        p.vars, p.terms = vars, terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -83,7 +170,7 @@ class Poly:
     def variable(cls, vars, name) -> "Poly":
         exp = [0] * len(vars)
         exp[tuple(vars).index(name)] = 1
-        return cls(vars, {tuple(exp): Fraction(1)})
+        return cls(vars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, vars, exp, c=1) -> "Poly":
@@ -120,12 +207,12 @@ class Poly:
         other = self._same(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
-                out[exp] = s
+                out[exp] = _normal(s)
             else:
-                out.pop(exp, None)
-        return Poly(self.vars, out)
+                del out[exp]
+        return Poly._of(self.vars, out)
 
     __radd__ = __add__
 
@@ -140,21 +227,9 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = as_frac(other)
-            if not c:
-                return Poly(self.vars, {})
-            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return Poly(self.vars, {e: k * other for e, k in self.terms.items()})
         other = self._same(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.vars, out)
+        return Poly._of(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -216,11 +291,7 @@ class Poly:
             if not c2:
                 continue
             re = tuple(x for j, x in enumerate(e) if j != i)
-            s = out.get(re, Fraction(0)) + c2
-            if s:
-                out[re] = s
-            else:
-                out.pop(re, None)
+            out[re] = out.get(re, 0) + c2
         return Poly(rest, out)
 
     def compose(self, out_vars: tuple[str, ...], mapping: dict) -> "Poly":
@@ -228,22 +299,33 @@ class Poly:
 
         An image with one term only scales the coefficient and shifts the
         exponents.  The terms are grouped by the exponents of the other
-        variables, and each group is multiplied by those images' cached
-        powers once.  Requires all exponents nonnegative.
+        images, and each group is multiplied once by the product of those
+        images' powers.  The images enter with their denominators cleared,
+        and each group's coefficients are scaled to integers, so the
+        products are integer arithmetic on terms cached across calls
+        (`_PRODUCTS`); the sum is divided by its one common denominator at
+        the end.  Requires all exponents nonnegative.
         """
         out_vars = tuple(out_vars)
-        single, multi = [], []  # (index, exponents, coefficient); (index, powers)
+        single = []  # (index, exponents, coefficient) of single-term images
+        multi, images, dens = [], [], []  # index, integer terms, denominator
         for idx, v in enumerate(self.vars):
             img = mapping[v]
             if isinstance(img, (int, Fraction, str)):
-                img = Poly.const(out_vars, as_frac(img))
+                img = Poly.const(out_vars, img)
             elif img.vars != out_vars:
                 img = img.lift(out_vars)
             if len(img.terms) == 1:
                 ((exp, c),) = img.terms.items()
                 single.append((idx, exp, c))
             else:
-                multi.append((idx, [Poly.const(out_vars, 1), img]))
+                d = _lcm_den(img.terms.values())
+                multi.append(idx)
+                images.append(tuple(sorted(
+                    (e, c.numerator * (d // c.denominator)) for e, c in img.terms.items()
+                )))
+                dens.append(d)
+        images = tuple(images)
         groups: dict = {}
         zero = (0,) * len(out_vars)
         for e, c in self.terms.items():
@@ -255,22 +337,28 @@ class Poly:
                 if k:
                     c = c * a**k
                     exp = tuple(x + k * s for x, s in zip(exp, shift))
-            group = groups.setdefault(tuple(e[idx] for idx, _ in multi), {})
+            group = groups.setdefault(tuple(e[idx] for idx in multi), {})
             group[exp] = group.get(exp, 0) + c
-        out: dict = {}
+        # group / (m * prod dens**key) is the group over its integer numerators
+        scaled, den = [], 1
         for key, group in groups.items():
-            part = Poly(out_vars, group)
-            prod = None
-            for k, (_, pows) in zip(key, multi):
-                if k:
-                    while len(pows) <= k:
-                        pows.append(pows[-1] * pows[1])
-                    prod = pows[k] if prod is None else prod * pows[k]
-            if prod is not None:
-                part = prod * part
-            for exp, c in part.terms.items():
-                out[exp] = out.get(exp, 0) + c
-        return Poly(out_vars, out)
+            m = _lcm_den(group.values())
+            scale = m * math.prod(d**k for d, k in zip(dens, key))
+            ints = {e: c.numerator * (m // c.denominator) for e, c in group.items()}
+            scaled.append((key, ints, scale))
+            den = math.lcm(den, scale)
+        out: dict = {}
+        for key, ints, scale in scaled:
+            f = den // scale
+            prod = _product(images, key) if any(key) else {zero: 1}
+            for e1, c1 in ints.items():
+                c1 *= f
+                for e2, c2 in prod.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        if den == 1:
+            return Poly._of(out_vars, {e: c for e, c in out.items() if c})
+        return Poly._of(out_vars, {e: _ratio(c, den) for e, c in out.items() if c})
 
     # -- serialization -------------------------------------------------------
 
@@ -364,34 +452,57 @@ def poly_div_linear_power(p: Poly, name: str, root, k: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _lagrange_rows(xs: tuple) -> tuple:
+    """(cols, den) for distinct rational nodes `xs`: the Lagrange basis
+    polynomial of node i has cols[k][i] / den as its coefficient of x^k.
+
+    With s the lcm of the nodes' denominators, x_i = p_i / s for integers
+    p_i, and basis polynomial i is prod_{j != i} (s*x - p_j) / (p_i - p_j),
+    whose coefficient of x^k is s^k times an integer over an integer.
+    """
+    s = _lcm_den(xs)
+    ps = [x.numerator * (s // x.denominator) for x in xs]
+    rows, dens = [], []
+    for i, pi in enumerate(ps):
+        # coefficients of prod_{j != i} (X - p_j), lowest first
+        row, d = [1], 1
+        for j, pj in enumerate(ps):
+            if j != i:
+                row = [a - pj * b for a, b in zip([0] + row, row + [0])]
+                d *= pi - pj
+        rows.append(row)
+        dens.append(d)
+    den = math.lcm(*dens)
+    cols = tuple(
+        tuple(s**k * row[k] * (den // d) for row, d in zip(rows, dens))
+        for k in range(len(xs))
+    )
+    return cols, den
+
+
 def interpolate_columns(nodes, columns) -> list:
     """Exact interpolation of several value columns over one node tuple.
 
     Each column lists the values at `nodes`, in order.  Returns, per column,
-    ``{degree: Fraction}`` (zeros omitted) of the unique polynomial of degree
-    below ``len(nodes)`` through those values.  The Lagrange coefficient rows
-    are built once and shared by every column.
+    ``{degree: coefficient}`` (zeros omitted; an `int` when integral, else a
+    `Fraction`) of the unique polynomial of degree below ``len(nodes)``
+    through those values.  The Lagrange rows are integers over one common
+    denominator, cached per node tuple; a column is scaled to integers by
+    the lcm of its values' denominators, so it costs integer multiply-adds
+    and one division per coefficient.
     """
-    xs = [as_frac(x) for x in nodes]
+    xs = tuple(as_frac(x) for x in nodes)
     if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation nodes among {xs}")
-    rows = []
-    for xi in xs:
-        # coefficients of prod_{j != i} (x - x_j) / (x_i - x_j), lowest first
-        row, den = [Fraction(1)], Fraction(1)
-        for xj in xs:
-            if xj != xi:
-                row = [a - xj * b for a, b in zip([0] + row, row + [0])]
-                den *= xi - xj
-        rows.append([c / den for c in row])
+        raise DuplicateNode(f"repeated interpolation nodes among {list(xs)}")
+    cols, den = _lagrange_rows(xs)
     out = []
     for values in columns:
-        coeffs = [Fraction(0)] * len(xs)
-        for y, row in zip(values, rows):
-            if y:
-                for k, c in enumerate(row):
-                    coeffs[k] += y * c
-        out.append({k: c for k, c in enumerate(coeffs) if c})
+        vals = [y if type(y) is int else as_frac(y) for y in values]
+        m = _lcm_den(vals)
+        ys = [y.numerator * (m // y.denominator) for y in vals]
+        coeffs = {k: _ratio(sum(map(mul, ys, col)), den * m) for k, col in enumerate(cols)}
+        out.append({k: c for k, c in coeffs.items() if c})
     return out
 
 

@@ -431,11 +431,26 @@ def cmd_classes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(least: int):
+    """argparse type: an int no smaller than `least` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(sp, jobs=True):
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_BUDGET,
                     help="work cap; exceeding it exits 3")
     if jobs:
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes for coflow counting, at most "
                         "the number of CPUs")
     sp.add_argument("--assume-tu", action="store_true",

@@ -60,6 +60,9 @@ QYZW = ("q", "y", "z", "w")
 # ---------------------------------------------------------------------------
 
 
+# entries kept; the sweep of `run_suites` over the default corpus holds
+# about 7,300, so it never evicts
+MEMO_SIZE = 32768
 _MEMO: dict = {}
 
 
@@ -68,6 +71,7 @@ def _memoized(fn):
 
     The result depends only on the signed circuits, so `budget` and `jobs`
     are not part of the key: a hit enumerates nothing and trips no budget.
+    Once the memo holds `MEMO_SIZE` entries, each new one evicts the oldest.
     """
 
     @functools.wraps(fn)
@@ -75,7 +79,10 @@ def _memoized(fn):
         key = (fn, om.canonical_key())
         hit = _MEMO.get(key)
         if hit is None:
-            hit = _MEMO[key] = fn(om, *args, **kwargs)
+            hit = fn(om, *args, **kwargs)
+            if len(_MEMO) >= MEMO_SIZE:
+                del _MEMO[next(iter(_MEMO))]
+            _MEMO[key] = hit
         return hit
 
     return cached

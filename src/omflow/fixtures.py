@@ -99,7 +99,7 @@ def _canonical_arcs(arcs: tuple, nv: int) -> tuple:
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def corpus_digraph_arcsets(max_vertices: int = 4, max_arcs: int = 5) -> tuple:
     """All (vertices, arcs) classes up to vertex relabeling.
 
@@ -147,7 +147,7 @@ def _canonical_edges(edges: tuple, nv: int) -> tuple:
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def corpus_edge_multisets(max_vertices: int = 5, max_edges: int = 4) -> tuple:
     """Multigraph classes (vertices, edges) up to vertex relabeling.
 

@@ -17,6 +17,7 @@ suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -271,7 +272,7 @@ def verify_expansions(
         ):
             for (k,), c in cp.terms.items():
                 key = (k + shift, s_ct, t_ct)
-                dest[key] = dest.get(key, Fraction(0)) + c
+                dest[key] = dest.get(key, 0) + c
     lhs1, lhs2, lhs3, lhs4 = (
         Poly(QYZ, {e: c for e, c in d.items() if c}) for d in acc
     )
@@ -328,14 +329,14 @@ def verify_reciprocity(
             st = (s_ct, t_ct)
             u = positive_union(mdel.circuits, t)
             if not u:
-                accs[0][st] = accs[0].get(st, Fraction(0)) + 1
+                accs[0][st] = accs[0].get(st, 0) + 1
             if u == mdel.full_mask:
-                accs[1][st] = accs[1].get(st, Fraction(0)) + Fraction(-1) ** mdel.rank
+                accs[1][st] = accs[1].get(st, 0) + (-1) ** mdel.rank
             u = positive_union(mcon.circuits, t)
             if not u:
-                accs[2][st] = accs[2].get(st, Fraction(0)) + Fraction(-1) ** mcon.rank
+                accs[2][st] = accs[2].get(st, 0) + (-1) ** mcon.rank
             if u == mcon.full_mask:
-                accs[3][st] = accs[3].get(st, Fraction(0)) + 1
+                accs[3][st] = accs[3].get(st, 0) + 1
         acy_del, tc_del, acy_con, tc_con = (
             Poly(YZ, {e: c for e, c in d.items() if c}) for d in accs
         )
@@ -393,18 +394,38 @@ def verify_reciprocity(
 # ---------------------------------------------------------------------------
 
 
-def _at_cube_root(p: Poly) -> tuple:
-    """(a, b) with p(t) = a + b*t at a primitive cube root of unity t, for p
-    univariate in t: reduce with t^3 = 1 and t^2 = -1 - t."""
-    a = b = Fraction(0)
-    for (k,), c in p.terms.items():
-        if k % 3 == 0:
-            a += c
-        elif k % 3 == 1:
-            b += c
-        else:
-            a, b = a - c, b - c
-    return a, b
+def _mul_at_cube_root(x: tuple, y: tuple) -> tuple:
+    """(a + b*t)(c + d*t) as a pair, reduced with t^2 = -1 - t."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def _dual_at_cube_root(stats: Poly, n: int, y0, z0) -> tuple:
+    """(a, b) with denom^n * stats(u, v) = a + b*t at a primitive cube root
+    of unity t, where denom = 1 + y0 + z0 and
+
+        u = (conj(t) y0 + t z0 + 1) / denom,  v = (t y0 + conj(t) z0 + 1) / denom,
+
+    for `stats` in (y, z) of (y, z)-degree at most n.  With d the lcm of the
+    denominators of y0 and z0, d*denom*u and d*denom*v have integer
+    coefficients; their powers are kept reduced as pairs (a, b) meaning
+    a + b*t, so the sum is integer arithmetic and one division by d^n.
+    """
+    d = math.lcm(y0.denominator, z0.denominator)
+    dy, dz = int(d * y0), int(d * z0)
+    u, v = (d - dy, dz - dy), (d - dz, dy - dz)
+    pu, pv = [(1, 0)], [(1, 0)]
+    for _ in range(n):
+        pu.append(_mul_at_cube_root(pu[-1], u))
+        pv.append(_mul_at_cube_root(pv[-1], v))
+    pd = [(d + dy + dz) ** k for k in range(n + 1)]
+    a = b = 0
+    for (i, j), c in stats.terms.items():
+        ra, rb = _mul_at_cube_root(pu[i], pv[j])
+        w = c * pd[n - i - j]
+        a += w * ra
+        b += w * rb
+    return Fraction(a, d**n), Fraction(b, d**n)
 
 
 def _duality_points(n: int):
@@ -458,22 +479,16 @@ def verify_duality(
     out.append(_cmp(suite, "dual-at-minus-one", name, lhs, rhs))
 
     # (b) at q = 3 the duality needs a primitive cube root of unity t.  At
-    # each point the dual statistics are composed with u(t) and v(t), linear
+    # each point the dual statistics are evaluated at u(t) and v(t), linear
     # in t over Q, and reduced with t^3 = 1, t^2 = -1 - t.  The point passes
-    # when the t-part is 0 and the rational part times the prefactor equals
-    # the direct value.
-    tv = Poly.variable(("t",), "t")
+    # when the t-part is 0 and the rational part over 3^(n - r) equals the
+    # direct value.
     stats3 = a_eval(om, 3, budget=budget, jobs=jobs)
     stats3_dual = a_eval(dual, 3, budget=budget, jobs=jobs)
     bad = []
     for y0, z0 in _duality_points(n):
-        denom = 1 + y0 + z0
-        # u = (conj(t) y0 + t z0 + 1) / denom and v = (t y0 + conj(t) z0 + 1) / denom
-        u = (1 - y0 + (z0 - y0) * tv) * Fraction(1, denom)
-        v = (1 - z0 + (y0 - z0) * tv) * Fraction(1, denom)
-        rat, irr = _at_cube_root(stats3_dual.compose(("t",), {"y": u, "z": v}))
-        pref = Fraction(denom) ** n / Fraction(3) ** (n - r)
-        if irr or rat * pref != stats3.eval_frac({"y": y0, "z": z0}):
+        rat, irr = _dual_at_cube_root(stats3_dual, n, y0, z0)
+        if irr or rat / 3 ** (n - r) != stats3.eval_frac({"y": y0, "z": z0}):
             bad.append((y0, z0))
     out.append(
         CheckReport(

@@ -169,7 +169,7 @@ def t1(
     acc: dict = {}
     for (k, i, j), c in pa.terms.items():
         key = (k, i)
-        acc[key] = acc.get(key, Fraction(0)) + c
+        acc[key] = acc.get(key, 0) + c
     return _assemble(acc, p.num_blocks, p.om.rank, mode=1)
 
 
@@ -183,7 +183,7 @@ def t2(
         pa = a_poly(ori, budget=budget, jobs=jobs)
         for (k, i, j), c in pa.terms.items():
             key = (k, i)
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc.get(key, 0) + c
     return _assemble(acc, p.num_blocks, p.om.rank, mode=2)
 
 

@@ -19,7 +19,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from omflow.algebra import json_dumps_canonical
-from omflow.coflows import a_poly, b_poly, char_pair, digraph_a_eval
+from omflow.coflows import (
+    a_even_poly,
+    a_poly,
+    b_poly,
+    char_pair,
+    digraph_a_eval,
+    even_char_pair,
+)
 from omflow.fixtures import corpus_poms, default_corpus
 from omflow.identities import run_suites
 from omflow.matroid import CIRCUIT_GROUND_CAP
@@ -53,6 +60,10 @@ def _share(part: int, parts: int) -> dict:
         add("a_poly+char_pair", name, {"a": a_poly(om).to_json_obj(),
                                        "strict": cp.strict.to_json_obj(),
                                        "weak": cp.weak.to_json_obj()})
+        add("a_even_poly", name, a_even_poly(om).to_json_obj())
+        ecp = even_char_pair(om)
+        add("even_char_pair", name, {"strict": ecp.strict.to_json_obj(),
+                                     "weak": ecp.weak.to_json_obj()})
     doublable = [(name, om) for name, om, _ in corpus if 2 * om.n <= CIRCUIT_GROUND_CAP]
     for name, om in doublable[part::parts]:
         dbl = om.double()

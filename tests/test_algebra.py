@@ -2,9 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from omflow import algebra
 from omflow.algebra import (
     Poly,
     as_frac,
@@ -26,7 +27,7 @@ from omflow.errors import (
     DuplicateNode,
     NonPolynomialResult,
 )
-from omflow.identities import _at_cube_root
+from omflow.identities import _dual_at_cube_root, _duality_points, _mul_at_cube_root
 
 Q = Fraction
 YZ = ("y", "z")
@@ -110,6 +111,122 @@ def oracle_homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly)
     return total
 
 
+# -- oracles: the Fraction routines that integer arithmetic replaced ---------
+
+
+def oracle_grouped_compose(self, out_vars: tuple[str, ...], mapping: dict) -> "Poly":
+    """Substitute every variable by a Poly over `out_vars` (or a scalar).
+
+    An image with one term only scales the coefficient and shifts the
+    exponents.  The terms are grouped by the exponents of the other
+    variables, and each group is multiplied by those images' cached
+    powers once.  Requires all exponents nonnegative.
+    """
+    out_vars = tuple(out_vars)
+    single, multi = [], []  # (index, exponents, coefficient); (index, powers)
+    for idx, v in enumerate(self.vars):
+        img = mapping[v]
+        if isinstance(img, (int, Fraction, str)):
+            img = Poly.const(out_vars, as_frac(img))
+        elif img.vars != out_vars:
+            img = img.lift(out_vars)
+        if len(img.terms) == 1:
+            ((exp, c),) = img.terms.items()
+            single.append((idx, exp, c))
+        else:
+            multi.append((idx, [Poly.const(out_vars, 1), img]))
+    groups: dict = {}
+    zero = (0,) * len(out_vars)
+    for e, c in self.terms.items():
+        if any(k < 0 for k in e):
+            raise ValueError("compose does not accept Laurent exponents")
+        exp = zero
+        for idx, shift, a in single:
+            k = e[idx]
+            if k:
+                c = c * a**k
+                exp = tuple(x + k * s for x, s in zip(exp, shift))
+        group = groups.setdefault(tuple(e[idx] for idx, _ in multi), {})
+        group[exp] = group.get(exp, 0) + c
+    out: dict = {}
+    for key, group in groups.items():
+        part = Poly(out_vars, group)
+        prod = None
+        for k, (_, pows) in zip(key, multi):
+            if k:
+                while len(pows) <= k:
+                    pows.append(pows[-1] * pows[1])
+                prod = pows[k] if prod is None else prod * pows[k]
+        if prod is not None:
+            part = prod * part
+        for exp, c in part.terms.items():
+            out[exp] = out.get(exp, 0) + c
+    return Poly(out_vars, out)
+
+
+def oracle_interpolate_columns(nodes, columns) -> list:
+    """Exact interpolation of several value columns over one node tuple.
+
+    Each column lists the values at `nodes`, in order.  Returns, per column,
+    ``{degree: Fraction}`` (zeros omitted) of the unique polynomial of degree
+    below ``len(nodes)`` through those values.  The Lagrange coefficient rows
+    are built once and shared by every column.
+    """
+    xs = [as_frac(x) for x in nodes]
+    if len(set(xs)) != len(xs):
+        raise DuplicateNode(f"repeated interpolation nodes among {xs}")
+    rows = []
+    for xi in xs:
+        # coefficients of prod_{j != i} (x - x_j) / (x_i - x_j), lowest first
+        row, den = [Fraction(1)], Fraction(1)
+        for xj in xs:
+            if xj != xi:
+                row = [a - xj * b for a, b in zip([0] + row, row + [0])]
+                den *= xi - xj
+        rows.append([c / den for c in row])
+    out = []
+    for values in columns:
+        coeffs = [Fraction(0)] * len(xs)
+        for y, row in zip(values, rows):
+            if y:
+                for k, c in enumerate(row):
+                    coeffs[k] += y * c
+        out.append({k: c for k, c in enumerate(coeffs) if c})
+    return out
+
+
+def oracle_at_cube_root(p: Poly) -> tuple:
+    """(a, b) with p(t) = a + b*t at a primitive cube root of unity t, for p
+    univariate in t: reduce with t^3 = 1 and t^2 = -1 - t."""
+    a = b = Fraction(0)
+    for (k,), c in p.terms.items():
+        if k % 3 == 0:
+            a += c
+        elif k % 3 == 1:
+            b += c
+        else:
+            a, b = a - c, b - c
+    return a, b
+
+
+def oracle_dual_at_cube_root(stats: Poly, n: int, y0, z0) -> tuple:
+    """The per-point path of the q = 3 duality check that `_dual_at_cube_root`
+    replaced: compose with u(t) and v(t), then reduce; scaled by denom^n."""
+    tv = Poly.variable(("t",), "t")
+    denom = 1 + y0 + z0
+    # u = (conj(t) y0 + t z0 + 1) / denom and v = (t y0 + conj(t) z0 + 1) / denom
+    u = (1 - y0 + (z0 - y0) * tv) * Fraction(1, denom)
+    v = (1 - z0 + (y0 - z0) * tv) * Fraction(1, denom)
+    rat, irr = oracle_at_cube_root(oracle_grouped_compose(stats, ("t",), {"y": u, "z": v}))
+    return rat * denom**n, irr * denom**n
+
+
+def assert_normal(p: Poly):
+    """Every stored coefficient is an int, or a Fraction that is not one."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -169,6 +286,37 @@ class TestPoly:
     def test_compose_matches_oracle(self, p, a, b, c):
         mapping = {"a": a, "b": b, "c": c}
         assert p.compose(XY, mapping) == oracle_compose(p, XY, mapping)
+
+    @given(st.lists(polys(("a", "b", "c"), max_exp=4), min_size=1, max_size=3),
+           images, images, images)
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_compose_matches_grouped_oracle(self, ps, a, b, c):
+        # the same images call after call: later calls read cached products
+        mapping = {"a": a, "b": b, "c": c}
+        for p in ps + ps:
+            got = p.compose(XY, mapping)
+            assert got == oracle_grouped_compose(p, XY, mapping)
+            assert_normal(got)
+
+    def test_compose_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(algebra, "PRODUCT_CACHE_SIZE", 3)
+        monkeypatch.setattr(algebra, "_PRODUCTS", {})
+        x, y = (Poly.variable(XY, v) for v in XY)
+        mapping = {"a": 1 + x, "b": y - Q(1, 2), "c": x + y + 3}
+        for k in (*range(6), *range(6)):
+            p = Poly(("a", "b", "c"), {(k, 1, 2): 1, (0, k, 1): Q(2, 3), (1, 1, k): -5})
+            assert p.compose(XY, mapping) == oracle_grouped_compose(p, XY, mapping)
+            assert len(algebra._PRODUCTS) <= 3
+
+    @given(polys(XY), polys(XY), small_fracs)
+    @settings(max_examples=100, deadline=None)
+    def test_coefficients_are_ints_when_integral(self, p, q, c):
+        assert_normal(Poly(XY, {(0, 0): Q(4, 2), (1, 0): "6/3", (0, 1): "1/2"}))
+        for r in (
+            p, p + q, p - q, p * q, p * c, -p, p**2, p.subs_scalar("x", c),
+            Poly.from_json_obj(p.to_json_obj()), p.compose(XY, {"x": q, "y": c}),
+        ):
+            assert_normal(r)
 
     def test_compose_refuses_laurent_exponents(self):
         p = Poly(YZ, {(1, 0): Q(1), (0, -1): Q(2)})
@@ -278,6 +426,39 @@ class TestInterpolate:
             for x, y in zip(xs, ys):
                 assert sum(c * x**k for k, c in coeffs.items()) == y
 
+    @given(
+        st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=4),
+            min_size=1, max_size=6, unique=True,
+        ).flatmap(
+            lambda xs: st.tuples(
+                st.just(xs),
+                st.lists(
+                    st.lists(
+                        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=9)),
+                        min_size=len(xs), max_size=len(xs),
+                    ),
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_oracle(self, case):
+        # rational and negative nodes; the second call reads the cached rows
+        xs, columns = case
+        want = oracle_interpolate_columns(xs, columns)
+        for _ in range(2):
+            got = interpolate_columns(xs, columns)
+            assert got == want
+            for coeffs in got:
+                assert_normal(Poly(("x",), {(k,): c for k, c in coeffs.items()}))
+                assert all(type(c) is int or c.denominator > 1 for c in coeffs.values())
+
+    def test_columns_accept_string_and_mixed_nodes(self):
+        nodes, cols = ["-1/2", 3, Q(5, 3), -4], [[1, Q(2, 3), 0, Q(-7, 2)], [0, 0, 0, 0]]
+        assert interpolate_columns(nodes, cols) == oracle_interpolate_columns(nodes, cols)
+
     def test_columns_duplicate_node(self):
         with pytest.raises(DuplicateNode):
             interpolate_columns([1, 3, 1], [[0, 1, 2]])
@@ -371,29 +552,48 @@ class TestMatrices:
 
 
 class TestEisenstein:
-    """Q(t) at a primitive cube root of unity t, as polynomials in t reduced
-    by `_at_cube_root`."""
+    """Q(t) at a primitive cube root of unity t, as pairs (a, b) meaning
+    a + b*t, multiplied by `_mul_at_cube_root`."""
 
-    T = ("t",)
+    T = (0, 1)  # t
 
     def test_defining_relation(self):
-        t = Poly.variable(self.T, "t")
-        assert _at_cube_root(t * t) == (-1, -1)
-        assert _at_cube_root(t**3) == (1, 0)
+        t2 = _mul_at_cube_root(self.T, self.T)
+        assert t2 == (-1, -1)
+        assert _mul_at_cube_root(t2, self.T) == (1, 0)
 
     @given(st.fractions(), st.fractions())
     @settings(max_examples=50, deadline=None)
     def test_conjugate_norm_is_rational(self, a, b):
-        t = Poly.variable(self.T, "t")
-        x = a + b * t
-        conj = a - b - b * t  # a + b * t^2
-        assert _at_cube_root(x * conj) == (a * a - a * b + b * b, 0)
+        conj = (a - b, -b)  # a + b * t^2
+        assert _mul_at_cube_root((a, b), conj) == (a * a - a * b + b * b, 0)
 
     def test_poly_evaluation(self):
+        assert _mul_at_cube_root(self.T, (-1, -1)) == (1, 0)  # t * conj(t) = 1
+        # at (y0, z0) = (2, 3): 6u = -1 + t and 6v = -2 - t, so 36 (uv + 1) = 39
         p = Poly.variable(YZ, "y") * Poly.variable(YZ, "z") + 1
-        t = Poly.variable(self.T, "t")
-        got = p.compose(self.T, {"y": t, "z": -1 - t})
-        assert _at_cube_root(got) == (2, 0)  # t * conj(t) = 1
+        assert _dual_at_cube_root(p, 2, Q(2), Q(3)) == (39, 0)
+
+    @given(
+        polys(YZ, max_exp=4, max_size=8),
+        st.integers(0, 2),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dual_at_cube_root_matches_oracle(self, stats, slack, y0, z0):
+        assume(1 + y0 + z0 != 0)
+        n = max((i + j for i, j in stats.terms), default=0) + slack
+        got = _dual_at_cube_root(stats, n, y0, z0)
+        assert got == oracle_dual_at_cube_root(stats, n, y0, z0)
+
+    def test_dual_at_cube_root_at_the_checked_points(self):
+        # integer statistics, as a_eval counts them, at every point of the check
+        stats = Poly(YZ, {(0, 0): 4, (1, 0): 7, (0, 2): -3, (2, 1): 12, (1, 3): 1, (4, 0): 2})
+        for n in (4, 5, 9):
+            for y0, z0 in _duality_points(n):
+                got = _dual_at_cube_root(stats, n, y0, z0)
+                assert got == oracle_dual_at_cube_root(stats, n, y0, z0)
 
 
 class TestF2:

@@ -122,6 +122,28 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "a", "--input", "R10", "--jobs", "0"],
+        ["compute", "a", "--input", "R10", "--jobs", "-3"],
+        ["compute", "a", "--input", "R10", "--budget", "-1"],
+        ["verify", "--input", "fig-exp-Apoly", "--jobs", "0"],
+        ["classes", "--input", "fig-exp-Apoly", "--budget", "-5"],
+    ],
+    ids=["jobs-zero", "jobs-negative", "budget-negative", "verify-jobs-zero",
+         "classes-budget-negative"],
+)
+def test_out_of_range_jobs_and_budget_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    flag = argv[-2]
+    assert f"error: argument {flag}: must be at least" in captured.err
+
+
 def test_verify_u24_negative_control(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "tutte", "--input", "U24")
     reports = json.loads(out)

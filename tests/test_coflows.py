@@ -553,3 +553,27 @@ class TestMemo:
         with pytest.raises(BudgetExceeded):
             call(budget=1)
         assert call() == warm
+
+
+def test_memo_is_bounded():
+    class Keyed:  # stands in for a matroid: the memo reads only its key
+        def __init__(self, key):
+            self.key = key
+
+        def canonical_key(self):
+            return self.key
+
+    calls = []
+    fn = coflows._memoized(lambda om: calls.append(om.key) or om.key)
+    clear_caches()
+    try:
+        for k in range(coflows.MEMO_SIZE + 1):
+            assert fn(Keyed(k)) == k
+        assert len(coflows._MEMO) <= coflows.MEMO_SIZE
+        # the newest entry is still a hit, and the oldest was evicted
+        assert fn(Keyed(coflows.MEMO_SIZE)) == coflows.MEMO_SIZE
+        assert len(calls) == coflows.MEMO_SIZE + 1
+        fn(Keyed(0))
+        assert len(calls) == coflows.MEMO_SIZE + 2
+    finally:
+        clear_caches()

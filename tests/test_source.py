@@ -60,6 +60,55 @@ def test_lattice_count_shares_no_counting_machinery():
     assert shared == set(), f"lattice_count uses {sorted(shared)}"
 
 
+def _unbounded_caches(tree):
+    """Lines where a functools cache is used without an integer maxsize:
+    `functools.cache` in any form, and `lru_cache` unless it is called with
+    an int constant as its `maxsize` (by keyword or first argument)."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name == "cache" and isinstance(node, ast.Attribute):
+            yield node.lineno
+        elif name == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else [
+                *call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")
+            ]
+            if not any(
+                isinstance(x, ast.Constant) and type(x.value) is int for x in sizes
+            ):
+                yield node.lineno
+
+
+def test_cache_check_flags_unbounded_caches():
+    flagged = [
+        "@functools.cache\ndef f(): pass",
+        "from functools import cache",
+        "@functools.lru_cache\ndef f(): pass",
+        "@functools.lru_cache(maxsize=None)\ndef f(): pass",
+        "from functools import lru_cache\n@lru_cache()\ndef f(): pass",
+    ]
+    for text in flagged:
+        assert list(_unbounded_caches(ast.parse(text))), text
+    bounded = "@functools.lru_cache(maxsize=32)\ndef f(): pass\n@lru_cache(8)\ndef g(): pass"
+    assert list(_unbounded_caches(ast.parse(bounded))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    # a cache that grows with its input outlives the run that filled it
+    lines = list(_unbounded_caches(ast.parse(path.read_text(), filename=str(path))))
+    assert lines == [], f"{path.name} has unbounded caches at lines {lines}"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
