@@ -5,12 +5,16 @@ Fractions, and GF(2) vectors are plain ints used as bitmasks.  No floats
 anywhere.
 
 The central object is :class:`Poly`, a sparse polynomial in a fixed, named
-tuple of variables.  A coefficient is stored as an `int` when it is integral
-and as a `fractions.Fraction` (denominator above 1) otherwise, so the integer
-polynomials that counting produces are multiplied and added in plain ints.
-Exponents are allowed to go negative *internally* (a few intermediate
-results are honest Laurent polynomials); serialization refuses negative
-exponents, so anything that escapes the package is a genuine polynomial.
+tuple of variables, stored as integer numerators over one positive common
+denominator in lowest terms.  Every `Poly` operation is integer arithmetic;
+`Fraction` appears only at the edges: coefficients given to the constructor,
+`eval_frac`, and `to_json_obj`, which prints each coefficient reduced.  The
+coefficients counting produces have denominators dividing 2^r r! (A-values
+interpolated at odd q), so the numerators stay small.  `poly_sum` adds many
+polynomials into one dict.  Exponents are allowed to go negative
+*internally* (a few intermediate results are honest Laurent polynomials);
+serialization refuses negative exponents, so anything that escapes the
+package is a genuine polynomial.
 
 :meth:`Poly.compose` is the one substitution of polynomials into a
 polynomial; homogenization, the Tutte/Potts expansions, t1/t2 and the duality
@@ -21,11 +25,11 @@ multiplied by the product of those images' powers.
 
 Two caches, both bounded by a constant, survive across calls:
 
-* `_PRODUCTS` holds the powers, and the products of powers, of the images
-  that `compose` has been given, with their denominators cleared so every
-  coefficient is an int.  The same few images (1 + y, y - 1, 1 + y + z, ...)
-  recur for every instance, so most groups find their product there.  It
-  forgets its oldest entry first once it holds `PRODUCT_CACHE_SIZE`.
+* `_PRODUCTS` holds the powers, and the products of powers, of the integer
+  numerators of the images that `compose` has been given.  The same few
+  images (1 + y, y - 1, 1 + y + z, ...) recur for every instance, so most
+  groups find their product there.  It forgets its oldest entry first once
+  it holds `PRODUCT_CACHE_SIZE`.
 * `_lagrange_rows` (an `lru_cache`) holds the Lagrange coefficient rows of
   each interpolation node tuple as integers over one common denominator.
 """
@@ -45,9 +49,6 @@ from .errors import (
     NonPolynomialResult,
 )
 
-Q = Fraction
-
-
 def as_frac(x) -> Fraction:
     """Coerce ints, Fractions, and strings like '-3/7' to Fraction."""
     if isinstance(x, Fraction):
@@ -59,10 +60,12 @@ def as_frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _ratio(num: int, den: int):
-    """num / den as an int when it divides, else as a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+def _num_den(x) -> tuple:
+    """(numerator, positive denominator) of an int, Fraction or string."""
+    if type(x) is int:
+        return x, 1
+    x = as_frac(x)
+    return x.numerator, x.denominator
 
 
 def _lcm_den(values) -> int:
@@ -70,19 +73,14 @@ def _lcm_den(values) -> int:
     return math.lcm(*(c.denominator for c in values))
 
 
-def _normal(c):
-    """A coefficient as `Poly` stores it: an int when integral."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two {exponents: coefficient} dicts, as `Poly` stores terms."""
+    """Product of two {exponents: int} dicts, zeros dropped."""
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
-    return {e: _normal(c) for e, c in out.items() if c}
+    return {e: c for e, c in out.items() if c}
 
 
 # products of powers of `compose` images, keyed by (image, k) for one power
@@ -130,69 +128,92 @@ def _product(images: tuple, key: tuple) -> dict:
 class Poly:
     """Sparse polynomial with named variables and rational coefficients.
 
-    `terms` maps exponent tuples (one entry per variable, ints) to nonzero
-    coefficients: an `int` when integral, else a `Fraction`.  Instances are
-    immutable in spirit; nothing mutates `terms` after construction.
+    The coefficients are integer numerators over one positive denominator
+    `den`: `numerators()` maps exponent tuples (one entry per variable) to
+    nonzero ints, and the coefficient of a term is its numerator / `den`.
+    `den` and the numerators have no common factor, and the zero
+    polynomial has `den` 1, so equal polynomials are stored alike.
+    Instances are immutable in spirit; nothing mutates the numerators
+    after construction.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_nums", "den")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict | None = None):
-        self.vars = tuple(vars)
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if type(c) is not int:
-                    c = _normal(as_frac(c))
-                if c:
-                    exp = tuple(exp)
-                    if len(exp) != len(self.vars):
-                        raise ValueError("exponent arity mismatch")
-                    clean[exp] = c
-        self.terms = clean
+    def __init__(self, vars: tuple[str, ...], terms: dict | None = None, den: int = 1):
+        """`terms` maps exponents to ints, Fractions or strings like '-3/7';
+        each coefficient is that value over `den`, a nonzero int."""
+        vars, terms = tuple(vars), terms or {}
+        if not {int}.issuperset(map(type, terms.values())):
+            fracs = {e: as_frac(c) for e, c in terms.items()}
+            d = _lcm_den(fracs.values())
+            terms = {e: c.numerator * (d // c.denominator) for e, c in fracs.items()}
+            den *= d
+        if any(len(e) != len(vars) for e, c in terms.items() if c):
+            raise ValueError("exponent arity mismatch")
+        sign = -1 if den < 0 else 1
+        p = Poly._of(vars, {tuple(e): sign * c for e, c in terms.items() if c}, sign * den)
+        self.vars, self._nums, self.den = p.vars, p._nums, p.den
 
     @classmethod
-    def _of(cls, vars: tuple, terms: dict) -> "Poly":
-        """Wrap terms already as `__init__` stores them: exponent tuples of
-        the right length to nonzero coefficients, ints when integral."""
+    def _of(cls, vars: tuple, nums: dict, den: int = 1) -> "Poly":
+        """Wrap exponent tuples of the right length mapped to nonzero ints,
+        over a positive `den`, dividing out their common factor (all of `den`
+        when there are none, so zero gets den 1)."""
+        g = math.gcd(den, *nums.values()) if den != 1 else 1
+        if g != 1:
+            nums, den = {e: c // g for e, c in nums.items()}, den // g
         p = cls.__new__(cls)
-        p.vars, p.terms = vars, terms
+        p.vars, p._nums, p.den = vars, nums, den
         return p
+
+    def numerators(self) -> dict:
+        """{exponents: integer numerator}; each coefficient is its numerator
+        over `den`.  Read-only."""
+        return self._nums
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, vars, c) -> "Poly":
-        c = as_frac(c)
-        return cls(vars, {tuple([0] * len(vars)): c} if c else {})
+        num, den = _num_den(c)
+        return cls._of(tuple(vars), {(0,) * len(vars): num} if num else {}, den)
 
     @classmethod
     def variable(cls, vars, name) -> "Poly":
         exp = [0] * len(vars)
         exp[tuple(vars).index(name)] = 1
-        return cls(vars, {tuple(exp): 1})
+        return cls._of(tuple(vars), {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, vars, exp, c=1) -> "Poly":
-        return cls(vars, {tuple(exp): as_frac(c)})
+        return cls(vars, {tuple(exp): c})
+
+    @classmethod
+    def gather(cls, vars, pairs, den: int = 1) -> "Poly":
+        """The Poly whose numerator at each exponent tuple is the sum of the
+        ints paired with it in `pairs`, over `den`."""
+        out: dict = {}
+        for e, c in pairs:
+            out[e] = out.get(e, 0) + c
+        return cls(vars, out, den)
 
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars, self.den, self._nums) == (other.vars, other.den, other._nums)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self._nums.items())))
 
     def _same(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -205,19 +226,17 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._same(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = _normal(s)
-            else:
-                del out[exp]
-        return Poly._of(self.vars, out)
+        den = math.lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        out = {e: c * f for e, c in self._nums.items()}
+        for exp, c in other._nums.items():
+            out[exp] = out.get(exp, 0) + c * g
+        return Poly._of(self.vars, {e: c for e, c in out.items() if c}, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.vars, {e: -c for e, c in self._nums.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._same(other))
@@ -227,17 +246,18 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(self.vars, {e: k * other for e, k in self.terms.items()})
+            num, den = _num_den(other)
+            nums = {e: c * num for e, c in self._nums.items()} if num else {}
+            return Poly._of(self.vars, nums, self.den * den)
         other = self._same(other)
-        return Poly._of(self.vars, _mul_terms(self.terms, other.terms))
+        return Poly._of(self.vars, _mul_terms(self._nums, other._nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        out = Poly.const(self.vars, 1)
-        base = self
+        out, base = Poly.const(self.vars, 1), self
         while k:
             if k & 1:
                 out = out * base
@@ -249,196 +269,198 @@ class Poly:
 
     def min_degree(self, name: str) -> int:
         i = self.vars.index(name)
-        return min((e[i] for e in self.terms), default=0)
+        return min((e[i] for e in self._nums), default=0)
 
     def lift(self, vars: tuple[str, ...]) -> "Poly":
         """Reinterpret over a superset of variables (new ones get exponent 0)."""
         vars = tuple(vars)
         pos = [vars.index(v) for v in self.vars]
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._nums.items():
             ne = [0] * len(vars)
             for p, x in zip(pos, e):
                 ne[p] = x
             out[tuple(ne)] = c
-        return Poly(vars, out)
+        return Poly._of(vars, out, self.den)
 
     # -- evaluation / substitution ------------------------------------------
 
     def eval_frac(self, point: dict) -> Fraction:
         """Evaluate with every variable bound to a Fraction (or int)."""
-        vals = [as_frac(point[v]) for v in self.vars]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t *= x**k
-            total += t
-        return total
+        p = self
+        for v in self.vars:
+            p = p.subs_scalar(v, point[v])
+        return Fraction(p._nums.get((), 0), p.den)
 
     def subs_scalar(self, name: str, value) -> "Poly":
-        """Substitute one variable by a Fraction; result keeps remaining vars."""
-        value = as_frac(value)
+        """Substitute one variable by a Fraction; result keeps remaining vars.
+
+        With value a/b, the term of exponent k gets a^(k-lo) b^(hi-k) over
+        a^-lo b^hi, where lo <= 0 <= hi bound every exponent k."""
+        a, b = _num_den(value)
         i = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
+        ks = [e[i] for e in self._nums]
+        lo, hi = min(0, min(ks, default=0)), max(0, max(ks, default=0))
+        if lo < 0 and a == 0:
+            raise ZeroDivisionError("Laurent term evaluated at 0")
+        pa, pb = ([x**j for j in range(hi - lo + 1)] for x in (a, b))
         out: dict = {}
-        for e, c in self.terms.items():
+        for e, c in self._nums.items():
             k = e[i]
-            if k < 0 and value == 0:
-                raise ZeroDivisionError("Laurent term evaluated at 0")
-            c2 = c * value**k if k else c
-            if not c2:
-                continue
-            re = tuple(x for j, x in enumerate(e) if j != i)
-            out[re] = out.get(re, 0) + c2
-        return Poly(rest, out)
+            re = e[:i] + e[i + 1 :]
+            out[re] = out.get(re, 0) + c * pa[k - lo] * pb[hi - k]
+        den = self.den * pb[hi] * pa[-lo]
+        if den < 0:
+            out, den = {e: -c for e, c in out.items()}, -den
+        rest = self.vars[:i] + self.vars[i + 1 :]
+        return Poly._of(rest, {e: c for e, c in out.items() if c}, den)
 
     def compose(self, out_vars: tuple[str, ...], mapping: dict) -> "Poly":
         """Substitute every variable by a Poly over `out_vars` (or a scalar).
 
-        An image with one term only scales the coefficient and shifts the
-        exponents.  The terms are grouped by the exponents of the other
-        images, and each group is multiplied once by the product of those
-        images' powers.  The images enter with their denominators cleared,
-        and each group's coefficients are scaled to integers, so the
-        products are integer arithmetic on terms cached across calls
-        (`_PRODUCTS`); the sum is divided by its one common denominator at
-        the end.  Requires all exponents nonnegative.
+        An image with one term (or none) only scales the coefficient and
+        shifts the exponents.  The terms are grouped by the exponents of the
+        other images, and each group is multiplied once by the product of
+        those images' numerators' powers, cached across calls (`_PRODUCTS`).
+        The result is over den * prod d^K, with d an image's denominator and
+        K the top exponent of its variable.  Requires nonnegative exponents.
         """
         out_vars = tuple(out_vars)
-        single = []  # (index, exponents, coefficient) of single-term images
-        multi, images, dens = [], [], []  # index, integer terms, denominator
+        zero = (0,) * len(out_vars)
+        tops = list(map(max, zip(*self._nums))) if self._nums else [0] * len(self.vars)
+        if self._nums and min(map(min, zip(*self._nums))) < 0:
+            raise ValueError("compose does not accept Laurent exponents")
+        den = self.den
+        single = []  # (index, exponents, numerator * denominator powers)
+        multi, images, scales = [], [], []  # index, integer terms, d**(K - k)
         for idx, v in enumerate(self.vars):
             img = mapping[v]
             if isinstance(img, (int, Fraction, str)):
                 img = Poly.const(out_vars, img)
             elif img.vars != out_vars:
                 img = img.lift(out_vars)
-            if len(img.terms) == 1:
-                ((exp, c),) = img.terms.items()
-                single.append((idx, exp, c))
+            top, d = tops[idx], img.den
+            den *= d**top
+            if len(img._nums) <= 1:
+                ((exp, c),) = img._nums.items() or ((zero, 0),)
+                single.append((idx, exp, [c**k * d ** (top - k) for k in range(top + 1)]))
             else:
-                d = _lcm_den(img.terms.values())
                 multi.append(idx)
-                images.append(tuple(sorted(
-                    (e, c.numerator * (d // c.denominator)) for e, c in img.terms.items()
-                )))
-                dens.append(d)
+                images.append(tuple(sorted(img._nums.items())))
+                scales.append([d ** (top - k) for k in range(top + 1)])
         images = tuple(images)
         groups: dict = {}
-        zero = (0,) * len(out_vars)
-        for e, c in self.terms.items():
-            if any(k < 0 for k in e):
-                raise ValueError("compose does not accept Laurent exponents")
+        for e, c in self._nums.items():
             exp = zero
-            for idx, shift, a in single:
+            for idx, shift, pw in single:
                 k = e[idx]
+                c *= pw[k]
                 if k:
-                    c = c * a**k
                     exp = tuple(x + k * s for x, s in zip(exp, shift))
             group = groups.setdefault(tuple(e[idx] for idx in multi), {})
             group[exp] = group.get(exp, 0) + c
-        # group / (m * prod dens**key) is the group over its integer numerators
-        scaled, den = [], 1
-        for key, group in groups.items():
-            m = _lcm_den(group.values())
-            scale = m * math.prod(d**k for d, k in zip(dens, key))
-            ints = {e: c.numerator * (m // c.denominator) for e, c in group.items()}
-            scaled.append((key, ints, scale))
-            den = math.lcm(den, scale)
         out: dict = {}
-        for key, ints, scale in scaled:
-            f = den // scale
+        for key, group in groups.items():
+            f = math.prod(s[k] for s, k in zip(scales, key))
             prod = _product(images, key) if any(key) else {zero: 1}
-            for e1, c1 in ints.items():
+            for e1, c1 in group.items():
                 c1 *= f
                 for e2, c2 in prod.items():
                     e = tuple(map(add, e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
-        if den == 1:
-            return Poly._of(out_vars, {e: c for e, c in out.items() if c})
-        return Poly._of(out_vars, {e: _ratio(c, den) for e, c in out.items() if c})
+        return Poly._of(out_vars, {e: c for e, c in out.items() if c}, den)
 
     # -- serialization -------------------------------------------------------
 
+    def _reduced(self, c: int) -> tuple:
+        g = math.gcd(c, self.den)
+        return c // g, self.den // g
+
     def to_json_obj(self) -> dict:
+        """Every coefficient as its reduced numerator and denominator."""
         terms = []
-        for e in sorted(self.terms):
+        for e in sorted(self._nums):
             if any(x < 0 for x in e):
                 raise ValueError("refusing to serialize a Laurent polynomial")
-            c = self.terms[e]
-            terms.append(
-                {"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-            )
+            num, den = self._reduced(self._nums[e])
+            terms.append({"exp": list(e), "num": str(num), "den": str(den)})
         return {"vars": list(self.vars), "terms": terms}
 
     @classmethod
     def from_json_obj(cls, obj) -> "Poly":
-        vars = tuple(obj["vars"])
-        terms = {}
-        for t in obj["terms"]:
-            terms[tuple(t["exp"])] = Fraction(int(t["num"]), int(t["den"]))
-        return cls(vars, terms)
+        terms = obj["terms"]
+        return cls(obj["vars"], {
+            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in terms
+        })
 
     def __repr__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e in sorted(self._nums):
+            num, den = self._reduced(self._nums[e])
+            c = f"{num}/{den}" if den != 1 else str(num)
             mono = "*".join(
                 f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k
             )
-            if mono:
-                bits.append(f"{c}*{mono}" if c != 1 else mono)
-            else:
-                bits.append(str(c))
+            bits.append(f"{c}*{mono}" if mono and c != "1" else mono or c)
         return " + ".join(bits)
+
+
+def poly_sum(vars: tuple, parts) -> Poly:
+    """The sum of k * m * p over the (p, k, shift) in `parts`, where p is a
+    Poly whose variables begin `vars`, k an int and m the monomial of
+    exponents `shift` over `vars`.
+
+    The numerators are added into one dict over the lcm of the
+    denominators.  A summand repeated with the same shift (a memoized
+    polynomial, say) is counted first and scaled once.
+    """
+    vars = tuple(vars)
+    counts: dict = {}  # (id(p), shift) -> [p, total k, shift]
+    for p, k, shift in parts:
+        counts.setdefault((id(p), shift), [p, 0, shift])[1] += k
+    den = math.lcm(*(p.den for p, _, _ in counts.values()))
+    out: dict = {}
+    for p, k, shift in counts.values():
+        f = k * (den // p.den)
+        pad = (0,) * (len(vars) - len(p.vars))
+        for e, c in p._nums.items():
+            e = tuple(map(add, e + pad, shift))
+            out[e] = out.get(e, 0) + f * c
+    return Poly._of(vars, {e: c for e, c in out.items() if c}, den)
 
 
 def poly_div_linear(p: Poly, name: str, root) -> Poly:
     """Exact division of `p` by (name - root); raises NonPolynomialResult.
 
     Handles Laurent input: the quotient may itself be Laurent in `name`.
+    Synthetic division by a root a/b runs on integers: the layer of
+    name-degree k, counted from the lowest, is scaled by b^(top - k), so the
+    quotient's numerators come out over den * b^top.
     """
-    root = as_frac(root)
+    a, b = _num_den(root)
     i = p.vars.index(name)
-    shift = min((e[i] for e in p.terms), default=0)
-    # group coefficients (as dicts over the other exponents) by name-exponent
-    layers: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        k = e[i] - shift
-        re = tuple(x for j, x in enumerate(e) if j != i)
-        layers.setdefault(k, {})[re] = c
-    if not layers:
-        return Poly(p.vars, {})
-    top = max(layers)
-    carry: dict = {}
-    quot_layers: dict[int, dict] = {}
+    shift = min((e[i] for e in p._nums), default=0)
+    layers: dict[int, dict] = {}  # by name-degree: numerators over the other exponents
+    for e, c in p._nums.items():
+        layers.setdefault(e[i] - shift, {})[e[:i] + e[i + 1 :]] = c
+    top = max(layers, default=0)
+    out, cur = {}, {}
     for k in range(top, -1, -1):
-        cur = dict(carry)
+        cur = {re: c * a for re, c in cur.items()} if a else {}  # the carry
         for re, c in layers.get(k, {}).items():
-            s = cur.get(re, Fraction(0)) + c
-            if s:
-                cur[re] = s
-            else:
-                cur.pop(re, None)
-        if k > 0:
-            quot_layers[k - 1] = cur
-            carry = {re: c * root for re, c in cur.items()} if root else {}
-        else:
-            if cur:
-                raise NonPolynomialResult(
-                    f"remainder {cur} after dividing by ({name} - {root})"
-                )
-    out = {}
-    for k, layer in quot_layers.items():
-        for re, c in layer.items():
-            e = list(re)
-            e.insert(i, k + shift)
-            out[tuple(e)] = c
-    return Poly(p.vars, out)
+            cur[re] = cur.get(re, 0) + c * b ** (top - k)
+        cur = {re: c for re, c in cur.items() if c}
+        if k:
+            for re, c in cur.items():
+                out[re[:i] + (k - 1 + shift,) + re[i:]] = c * b**k
+    if cur:
+        rem = {re: Fraction(c, p.den * b**top) for re, c in cur.items()}
+        raise NonPolynomialResult(
+            f"remainder {rem} after dividing by ({name} - {Fraction(a, b)})"
+        )
+    return Poly._of(p.vars, out, p.den * b**top)
 
 
 def poly_div_linear_power(p: Poly, name: str, root, k: int) -> Poly:
@@ -481,36 +503,36 @@ def _lagrange_rows(xs: tuple) -> tuple:
     return cols, den
 
 
-def interpolate_columns(nodes, columns) -> list:
+def interpolate_columns(nodes, columns) -> tuple:
     """Exact interpolation of several value columns over one node tuple.
 
-    Each column lists the values at `nodes`, in order.  Returns, per column,
-    ``{degree: coefficient}`` (zeros omitted; an `int` when integral, else a
-    `Fraction`) of the unique polynomial of degree below ``len(nodes)``
-    through those values.  The Lagrange rows are integers over one common
-    denominator, cached per node tuple; a column is scaled to integers by
-    the lcm of its values' denominators, so it costs integer multiply-adds
-    and one division per coefficient.
+    Each column lists the values at `nodes`, in order.  Returns (cols, den):
+    per column, ``{degree: integer numerator}`` (zeros omitted) of the
+    unique polynomial of degree below ``len(nodes)`` through those values,
+    every coefficient being its numerator over the one common denominator
+    `den`.  The Lagrange rows are integers over one common denominator,
+    cached per node tuple, and the values are scaled to integers by the lcm
+    of their denominators, so a column costs integer multiply-adds only.
     """
-    xs = tuple(as_frac(x) for x in nodes)
+    xs = tuple(x if type(x) is int else as_frac(x) for x in nodes)
     if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation nodes among {list(xs)}")
-    cols, den = _lagrange_rows(xs)
-    out = []
-    for values in columns:
-        vals = [y if type(y) is int else as_frac(y) for y in values]
-        m = _lcm_den(vals)
-        ys = [y.numerator * (m // y.denominator) for y in vals]
-        coeffs = {k: _ratio(sum(map(mul, ys, col)), den * m) for k, col in enumerate(cols)}
-        out.append({k: c for k, c in coeffs.items() if c})
-    return out
+        raise DuplicateNode(f"repeated interpolation nodes among {list(map(as_frac, xs))}")
+    rows, den = _lagrange_rows(xs)
+    columns = [list(values) for values in columns]
+    if any(type(y) is not int for values in columns for y in values):
+        fracs = [[as_frac(y) for y in values] for values in columns]
+        m = math.lcm(*(y.denominator for values in fracs for y in values))
+        columns = [[y.numerator * (m // y.denominator) for y in values] for values in fracs]
+        den *= m
+    sums = [[sum(map(mul, ys, row)) for row in rows] for ys in columns]
+    return [{k: c for k, c in enumerate(col) if c} for col in sums], den
 
 
 def interpolate(points, var: str = "q") -> Poly:
     """Exact Lagrange interpolation through (x, y) pairs of rationals."""
     pts = [(as_frac(x), as_frac(y)) for x, y in points]
-    (coeffs,) = interpolate_columns([x for x, _ in pts], [[y for _, y in pts]])
-    return Poly((var,), {(k,): c for k, c in coeffs.items()})
+    (coeffs,), den = interpolate_columns([x for x, _ in pts], [[y for _, y in pts]])
+    return Poly._of((var,), {(k,): c for k, c in coeffs.items()}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +550,7 @@ def homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly) -> Pol
     iy = p.vars.index("y")
     iz = p.vars.index("z")
     terms = {}
-    for e, c in p.terms.items():
+    for e, c in p._nums.items():
         i, j = e[iy], e[iz]
         if i < 0 or j < 0:
             raise ValueError("homogenization needs nonnegative exponents")
@@ -540,7 +562,7 @@ def homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly) -> Pol
     aux = "/".join(p.vars) + "/"  # longer than every variable name, so new
     mapping = {v: Poly.variable(p.vars, v) for v in p.vars}
     mapping.update({"y": num_y, "z": num_z, aux: denom})
-    return Poly(p.vars + (aux,), terms).compose(p.vars, mapping)
+    return Poly._of(p.vars + (aux,), terms, p.den).compose(p.vars, mapping)
 
 
 def homog_substitute(p: Poly, n: int, mode: str) -> Poly:
@@ -550,17 +572,11 @@ def homog_substitute(p: Poly, n: int, mode: str) -> Poly:
     The common denominator is 1+y+z, cleared by multiplying through with
     (1+y+z)**n.
     """
-    yz = ("y", "z")
-    y = Poly.variable(yz, "y")
-    z = Poly.variable(yz, "z")
-    one = Poly.const(yz, 1)
-    if mode == "shifted":
-        num_y, num_z = one + y, one + z
-    elif mode == "plain":
-        num_y, num_z = y, z
-    else:
+    if mode not in ("shifted", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
-    return homog_general(p, n, num_y, num_z, one + y + z)
+    y, z = (Poly.variable(("y", "z"), v) for v in "yz")
+    shift = 1 if mode == "shifted" else 0
+    return homog_general(p, n, y + shift, z + shift, 1 + y + z)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,11 @@ that the tally drops.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +86,11 @@ def _memoized(fn):
         return hit
 
     return cached
+
+
+def memo_hit(fn, key: tuple):
+    """What the memoized `fn` holds for the canonical key `key`, or None."""
+    return _MEMO.get((inspect.unwrap(fn), key))
 
 
 def clear_caches() -> None:
@@ -266,9 +271,9 @@ def _interpolated(vars, nodes, count_at, spares: dict, what: str) -> Poly:
     """
     evals = [count_at(q) for q in nodes]
     monos = sorted({e for ev in evals for e in ev})
-    cols = interpolate_columns(nodes, [[ev.get(e, 0) for ev in evals] for e in monos])
+    cols, den = interpolate_columns(nodes, [[ev.get(e, 0) for ev in evals] for e in monos])
     poly = Poly(
-        vars, {(k, *e): c for e, col in zip(monos, cols) for k, c in col.items()}
+        vars, {(k, *e): c for e, col in zip(monos, cols) for k, c in col.items()}, den
     )
     for q, counts in spares.items():
         if poly.subs_scalar("q", q) != Poly(vars[1:], counts):
@@ -307,8 +312,9 @@ def coflow_histogram(
     bcols, ext, filt = extension_matrix(om)
     total = q ** len(bcols)
     _check_budget(total, budget)
-    # the pool forks all its workers at once, so never more than the CPUs
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        # the pool forks all its workers at once, so never more than the CPUs
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and total > 4 * _CHUNK:
         bounds = [total * k // jobs for k in range(jobs + 1)]
         part = functools.partial(_hist_range, ext, filt, q, om.n, budget)
@@ -336,7 +342,7 @@ def a_eval(
     for (g, l, h), c in hist.counts:
         if h:
             raise InvariantViolated(f"a value equals q/2 at odd q={q}")
-        terms[(g, l)] = Fraction(c)
+        terms[(g, l)] = c
     return Poly(("y", "z"), terms)
 
 
@@ -352,7 +358,7 @@ def a_poly(
     r = om.rank
 
     def stats(q):
-        return a_eval(om, q, budget=budget, jobs=jobs).terms
+        return a_eval(om, q, budget=budget, jobs=jobs).numerators()
 
     return _interpolated(
         QYZ, [2 * k + 1 for k in range(r + 1)], stats, {2 * r + 3: stats(2 * r + 3)},
@@ -381,8 +387,9 @@ def char_pair(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> CharPair:
     stats = a_eval(om, spare, budget=budget)
     # strict coflows have every value on the positive side; weak ones have
     # none there (then flip sign), so both counts hide in the statistics
-    strict_direct = stats.terms.get((om.n, 0), 0)
-    weak_direct = sum(c for (g, l), c in stats.terms.items() if g == 0)
+    counts = stats.numerators()  # integer counts: stats.den is 1
+    strict_direct = counts.get((om.n, 0), 0)
+    weak_direct = sum(c for (g, l), c in counts.items() if g == 0)
 
     def strict_at(q):
         return {(): _box_count(ext, filt, q, 1, (q - 1) // 2, budget)}
@@ -546,7 +553,7 @@ def digraph_a_eval(
             raise InvariantViolated(
                 f"potential count {c} of {e} not divisible by q^components = {denom}"
             )
-        terms[e] = Fraction(c // denom)
+        terms[e] = c // denom
     return Poly(("y", "z"), terms)
 
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .algebra import (
     Poly,
     homog_general,
     homog_substitute,
     json_dumps_canonical,
+    poly_sum,
 )
 from .coflows import (
     DEFAULT_BUDGET,
@@ -35,6 +37,7 @@ from .coflows import (
     char_pair,
     coflow_histogram,
     digraph_a_eval,
+    memo_hit,
 )
 from .errors import BudgetExceeded
 from .matroid import CIRCUIT_GROUND_CAP, Digraph, OrientedMatroid, bits_of
@@ -109,19 +112,14 @@ def verify_basic(
 
     n = om.n
     xyz = ("x", "y", "z")
+    terms = p.numerators().items()
     for q0 in (3, 5):
-        hist = coflow_histogram(om, q0, budget=budget, jobs=jobs)
-        lhs2 = Poly(xyz, {})
-        lhs3 = Poly(YZ, {})
-        for (g, l, h), c in hist.counts:
-            lhs2 = lhs2 + Poly.monomial(xyz, (n - g - l, g, l), c)
-            lhs3 = lhs3 + Poly.monomial(YZ, (n - l, n - g), c)
-        rhs2 = Poly(xyz, {})
-        rhs3 = Poly(YZ, {})
-        for (k, i, j), c in p.terms.items():
-            cq = c * Fraction(q0) ** k
-            rhs2 = rhs2 + Poly.monomial(xyz, (n - i - j, i, j), cq)
-            rhs3 = rhs3 + Poly.monomial(YZ, (n - i, n - j), cq)
+        counts = coflow_histogram(om, q0, budget=budget, jobs=jobs).counts
+        lhs2 = Poly.gather(xyz, (((n - g - l, g, l), c) for (g, l, h), c in counts))
+        lhs3 = Poly.gather(YZ, (((n - l, n - g), c) for (g, l, h), c in counts))
+        cq = [(k, i, j, c * q0**k) for (k, i, j), c in terms]
+        rhs2 = Poly.gather(xyz, (((n - i - j, i, j), c) for k, i, j, c in cq), p.den)
+        rhs3 = Poly.gather(YZ, (((n - i, n - j), c) for k, i, j, c in cq), p.den)
         out.append(_cmp(suite, f"zero-count-refinement-q{q0}", name, lhs2, rhs2))
         out.append(_cmp(suite, f"weak-count-refinement-q{q0}", name, lhs3, rhs3))
 
@@ -182,12 +180,8 @@ def verify_tutte_relations(
         # negative control: for a non-regular sign pattern, the coflow count
         # must NOT reproduce the Potts polynomial
         for q0 in (3, 5):
-            hist = coflow_histogram(om, q0, budget=budget, jobs=jobs)
-            got: dict = {}
-            for (g, l, h), c in hist.counts:
-                k = g + l + h
-                got[(k,)] = got.get((k,), 0) + c
-            coflow_sum = Poly(("y",), {e: Fraction(c) for e, c in got.items()})
+            counts = coflow_histogram(om, q0, budget=budget, jobs=jobs).counts
+            coflow_sum = Poly.gather(("y",), (((g + l + h,), c) for (g, l, h), c in counts))
             differs = coflow_sum != pt.subs_scalar("q", q0)
             out.append(
                 CheckReport(
@@ -212,9 +206,10 @@ def verify_tutte_relations(
 
     # (b) reorientation average = potts at (y+z)/2
     if om.n <= AVERAGE_SIZE_CAP:
-        total = Poly(QYZ, {})
-        for s in range(1 << om.n):
-            total = total + a_poly(om.reorient(s), budget=budget, jobs=jobs)
+        total = poly_sum(QYZ, (
+            (a_poly(om.reorient(s), budget=budget, jobs=jobs), 1, (0, 0, 0))
+            for s in range(1 << om.n)
+        ))
         qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
         rhs = pt.compose(QYZ, {"q": qv, "y": (yv + zv) * Fraction(1, 2)})
         out.append(
@@ -238,14 +233,16 @@ def verify_tutte_relations(
 
 
 def _partitions(om: OrientedMatroid):
-    """Every pair (R, T) with T inside E minus R, as (M minus R, M/R, T in
-    their indices, |E minus R minus T|, |T|).  The minors are built once per
-    R, and T runs through the subsets of E minus R in decreasing order."""
+    """Every pair (R, T) with T inside E minus R, as (M minus R, M/R, their
+    ranks, T in their indices, |E minus R minus T|, |T|).  The minors and
+    ranks are found once per R, and T runs through the subsets of E minus R
+    in decreasing order."""
     for R in range(1 << om.n):
         mdel, mcon = om.delete(R), om.contract(R)
+        ranks = (mdel.rank, mcon.rank)
         for t in range(mdel.full_mask, -1, -1):
             t_ct = t.bit_count()
-            yield mdel, mcon, t, mdel.n - t_ct, t_ct
+            yield mdel, mcon, ranks, t, mdel.n - t_ct, t_ct
 
 
 def verify_expansions(
@@ -259,22 +256,24 @@ def verify_expansions(
     out = []
     n, r = om.n, om.rank
 
-    acc = [{}, {}, {}, {}]
-    for mdel, mcon, t, s_ct, t_ct in _partitions(om):
-        qk = r - mdel.rank
-        cp_del = char_pair(mdel.reorient(t), budget=budget)
-        cp_con = char_pair(mcon.reorient(t), budget=budget)
-        for dest, cp, shift in (
-            (acc[0], cp_del.strict, qk),
-            (acc[1], cp_del.weak, qk),
-            (acc[2], cp_con.strict, 0),
-            (acc[3], cp_con.weak, 0),
-        ):
-            for (k,), c in cp.terms.items():
-                key = (k + shift, s_ct, t_ct)
-                dest[key] = dest.get(key, 0) + c
+    # count the partitions per reoriented minor, by its memo key read off the
+    # masks, and monomial; a reoriented minor is built only on a memo miss
+    minors = {}  # key -> (minor, reorientation)
+    tallies = ({}, {})  # deletions, contractions: (key, monomial) -> count
+    for mdel, mcon, (r_del, _), t, s_ct, t_ct in _partitions(om):
+        for tally, m, qk in ((tallies[0], mdel, r - r_del), (tallies[1], mcon, 0)):
+            key = m.reoriented_key(t)
+            minors.setdefault(key, (m, t))
+            item = (key, (qk, s_ct, t_ct))
+            tally[item] = tally.get(item, 0) + 1
+    pairs = {
+        key: memo_hit(char_pair, key) or char_pair(m.reorient(t), budget=budget)
+        for key, (m, t) in minors.items()
+    }
     lhs1, lhs2, lhs3, lhs4 = (
-        Poly(QYZ, {e: c for e, c in d.items() if c}) for d in acc
+        poly_sum(QYZ, ((side(pairs[key]), c, shift) for (key, shift), c in tally.items()))
+        for tally in tallies
+        for side in (attrgetter("strict"), attrgetter("weak"))
     )
 
     p = a_poly(om, budget=budget, jobs=jobs)
@@ -287,20 +286,16 @@ def verify_expansions(
 
     # reorientation generating functions (alpha tracks reoriented elements)
     qa = ("q", "a")
-    gf1 = Poly(qa, {})
-    gf2 = Poly(qa, {})
-    for s in range(1 << n):
-        cp = char_pair(om.reorient(s), budget=budget)
-        amon = Poly.monomial(qa, (0, s.bit_count()), 1)
-        gf1 = gf1 + amon * cp.strict.lift(qa)
-        gf2 = gf2 + amon * cp.weak.lift(qa)
-    rhs_gf1 = Poly(qa, {})
-    rhs_gf2 = Poly(qa, {})
-    one_plus_a = 1 + Poly.variable(qa, "a")
-    for (k, i, j), c in p.terms.items():
-        if i + j == n:
-            rhs_gf1 = rhs_gf1 + Poly.monomial(qa, (k, j), c)
-        rhs_gf2 = rhs_gf2 + Poly.monomial(qa, (k, j), c) * one_plus_a ** (n - i - j)
+    cps = [(char_pair(om.reorient(s), budget=budget), (0, s.bit_count())) for s in range(1 << n)]
+    gf1 = poly_sum(qa, ((cp.strict, 1, shift) for cp, shift in cps))
+    gf2 = poly_sum(qa, ((cp.weak, 1, shift) for cp, shift in cps))
+    terms = p.numerators().items()
+    rhs_gf1 = Poly.gather(qa, (((k, j), c) for (k, i, j), c in terms if i + j == n), p.den)
+    # c q^k a^j (1 + a)^(n - i - j): a third variable w carries n - i - j
+    qv, av = (Poly.variable(qa, v) for v in qa)
+    rhs_gf2 = Poly.gather(
+        ("q", "w", "a"), (((k, n - i - j, j), c) for (k, i, j), c in terms), p.den
+    ).compose(qa, {"q": qv, "w": 1 + av, "a": av})
     out.append(_cmp(suite, "reorientation-gf-strict", name, gf1, rhs_gf1))
     out.append(_cmp(suite, "reorientation-gf-weak", name, gf2, rhs_gf2))
     return out
@@ -320,21 +315,21 @@ def verify_reciprocity(
     out = []
     n, r = om.n, om.rank
     p = a_poly(om, budget=budget, jobs=jobs)
-    sign_r = Fraction(-1) ** r
+    sign_r = (-1) ** r
     p_at_m1 = p.subs_scalar("q", -1)  # bivariate in (y, z)
 
     if n <= PARTITION_SIZE_CAP:
         accs = [{}, {}, {}, {}]
-        for mdel, mcon, t, s_ct, t_ct in _partitions(om):
+        for mdel, mcon, (r_del, r_con), t, s_ct, t_ct in _partitions(om):
             st = (s_ct, t_ct)
             u = positive_union(mdel.circuits, t)
             if not u:
                 accs[0][st] = accs[0].get(st, 0) + 1
             if u == mdel.full_mask:
-                accs[1][st] = accs[1].get(st, 0) + (-1) ** mdel.rank
+                accs[1][st] = accs[1].get(st, 0) + (-1) ** r_del
             u = positive_union(mcon.circuits, t)
             if not u:
-                accs[2][st] = accs[2].get(st, 0) + (-1) ** mcon.rank
+                accs[2][st] = accs[2].get(st, 0) + (-1) ** r_con
             if u == mcon.full_mask:
                 accs[3][st] = accs[3].get(st, 0) + 1
         acy_del, tc_del, acy_con, tc_con = (
@@ -353,20 +348,20 @@ def verify_reciprocity(
 
     # weak polynomial at -q expands over cyclic flats
     cp = char_pair(om, budget=budget)
-    lhs_flat = Poly(("q",), {(k,): c * Fraction(-1) ** k for (k,), c in cp.weak.terms.items()})
-    rhs_flat = Poly(("q",), {})
-    for t in om.cyclic_flats():
-        sub = om.contract(t)
-        sign = Fraction(-1) ** (r - om.rank_of(t))
-        rhs_flat = rhs_flat + sign * char_pair(sub, budget=budget).strict
+    minus_q = {"q": -Poly.variable(("q",), "q")}
+    lhs_flat = cp.weak.compose(("q",), minus_q)
+    rhs_flat = poly_sum(("q",), (
+        (char_pair(om.contract(t), budget=budget).strict, (-1) ** (r - om.rank_of(t)), (0,))
+        for t in om.cyclic_flats()
+    ))
     out.append(_cmp(suite, "weak-at-negated-q", name, lhs_flat, rhs_flat))
 
     # indicator evaluations at q = -1
     cls = om.classify()
     weak_m1 = cp.weak.eval_frac({"q": -1})
     strict_m1 = cp.strict.eval_frac({"q": -1})
-    want_weak = Fraction(1 if cls.is_totally_cyclic else 0)
-    want_strict = sign_r if cls.is_acyclic else Fraction(0)
+    want_weak = 1 if cls.is_totally_cyclic else 0
+    want_strict = sign_r if cls.is_acyclic else 0
     out.append(
         CheckReport(
             suite, "weak-indicator", name,
@@ -382,9 +377,7 @@ def verify_reciprocity(
         )
     )
     if cls.is_acyclic:
-        neg_strict = Poly(
-            ("q",), {(k,): c * Fraction(-1) ** k for (k,), c in cp.strict.terms.items()}
-        )
+        neg_strict = cp.strict.compose(("q",), minus_q)
         out.append(_cmp(suite, "acyclic-strict-weak-flip", name, neg_strict, sign_r * cp.weak))
     return out
 
@@ -420,33 +413,25 @@ def _dual_at_cube_root(stats: Poly, n: int, y0, z0) -> tuple:
         pv.append(_mul_at_cube_root(pv[-1], v))
     pd = [(d + dy + dz) ** k for k in range(n + 1)]
     a = b = 0
-    for (i, j), c in stats.terms.items():
+    for (i, j), c in stats.numerators().items():
         ra, rb = _mul_at_cube_root(pu[i], pv[j])
         w = c * pd[n - i - j]
         a += w * ra
         b += w * rb
-    return Fraction(a, d**n), Fraction(b, d**n)
+    return Fraction(a, d**n * stats.den), Fraction(b, d**n * stats.den)
+
+
+# deterministic rational (y0, z0) points, each with 1 + y0 + z0 > 0
+_DUALITY_BASE = tuple((Fraction(y0), Fraction(z0)) for y0, z0 in (
+    (2, 3), (1, 1), ("1/2", 2), (5, "1/3"), (3, 4), (7, 2), ("1/5", 3), (4, 9),
+    ("2/7", 5), (6, "1/2"), (8, "3/2"), (9, 5), (10, 7),
+))
 
 
 def _duality_points(n: int):
-    """Deterministic rational (y0, z0) pairs with 1 + y0 + z0 != 0."""
-    base = [
-        (Fraction(2), Fraction(3)),
-        (Fraction(1), Fraction(1)),
-        (Fraction(1, 2), Fraction(2)),
-        (Fraction(5), Fraction(1, 3)),
-        (Fraction(3), Fraction(4)),
-        (Fraction(7), Fraction(2)),
-        (Fraction(1, 5), Fraction(3)),
-        (Fraction(4), Fraction(9)),
-        (Fraction(2, 7), Fraction(5)),
-        (Fraction(6), Fraction(1, 2)),
-        (Fraction(8), Fraction(3, 2)),
-        (Fraction(9), Fraction(5)),
-        (Fraction(10), Fraction(7)),
-    ]
+    """max(5, n + 1) rational (y0, z0) pairs with 1 + y0 + z0 != 0."""
     want = max(5, n + 1)
-    pts = [pt for pt in base if 1 + pt[0] + pt[1] != 0][:want]
+    pts = list(_DUALITY_BASE[:want])
     k = 11
     while len(pts) < want:
         pts.append((Fraction(k), Fraction(k + 1)))
@@ -473,7 +458,7 @@ def verify_duality(
     # (a) at q = -1 the dual statistics are a homogenized reparametrization
     yb, zb = Poly.variable(YZ, "y"), Poly.variable(YZ, "z")
     lhs = pdual.subs_scalar("q", -1)
-    rhs = Fraction(-1) ** dual.rank * homog_general(
+    rhs = (-1) ** dual.rank * homog_general(
         p.subs_scalar("q", -1), n, yb - 1, zb - 1, yb + zb - 1
     )
     out.append(_cmp(suite, "dual-at-minus-one", name, lhs, rhs))
@@ -501,11 +486,9 @@ def verify_duality(
     # (c) acyclic symmetry in (q, y): setting z = 1 collapses the j index
     if om.classify().is_acyclic:
         qy = ("q", "y")
-        lhs_sym = Poly(qy, {})
-        rhs_sym = Poly(qy, {})
-        for (k, i, j), c in p.terms.items():
-            lhs_sym = lhs_sym + Poly.monomial(qy, (k, i), c * Fraction(-1) ** k)
-            rhs_sym = rhs_sym + Poly.monomial(qy, (k, n - i), c * Fraction(-1) ** r)
+        terms = p.numerators().items()
+        lhs_sym = Poly.gather(qy, (((k, i), c * (-1) ** k) for (k, i, j), c in terms), p.den)
+        rhs_sym = Poly.gather(qy, (((k, n - i), c * (-1) ** r) for (k, i, j), c in terms), p.den)
         out.append(_cmp(suite, "acyclic-symmetry", name, lhs_sym, rhs_sym))
 
     # (d) digraph bridges
@@ -521,7 +504,7 @@ def verify_duality(
                 )
             )
         bp = b_poly(digraph, budget=budget)
-        lhs_b = bp.subs_scalar("q", -1) * Fraction(-1) ** digraph.components()
+        lhs_b = bp.subs_scalar("q", -1) * (-1) ** digraph.components()
         out.append(_cmp(suite, "order-poly-bridge", name, lhs_b, p.subs_scalar("q", -1)))
     return out
 

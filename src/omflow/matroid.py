@@ -321,6 +321,17 @@ class OrientedMatroid:
     def canonical_key(self) -> tuple:
         return (self.n, tuple((c.pos, c.neg) for c in self.circuits))
 
+    def reoriented_key(self, smask: int) -> tuple:
+        """`self.reorient(smask).canonical_key()`, read off the circuit masks
+        without building the reorientation."""
+        out = []
+        for c in self.circuits:
+            s = c.pos | c.neg
+            pos, neg = c.pos ^ (s & smask), c.neg ^ (s & smask)
+            out.append((s, pos, neg) if pos & s & -s else (s, neg, pos))
+        out.sort()
+        return (self.n, tuple((pos, neg) for _, pos, neg in out))
+
     # -- fundamental circuits --------------------------------------------------
 
     def lex_basis_mask(self) -> int:

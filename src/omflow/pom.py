@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, poly_div_linear_power
-from .coflows import DEFAULT_BUDGET, a_poly, char_pair
+from .algebra import Poly, poly_div_linear_power, poly_sum
+from .coflows import DEFAULT_BUDGET, QYZ, a_poly, char_pair
 from .errors import BudgetExceeded, InvalidPartition, NonPolynomialResult
 from .identities import CheckReport
 from .matroid import OrientedMatroid, bits_of, mask_of
@@ -133,15 +133,19 @@ def complete_orientations(
 # ---------------------------------------------------------------------------
 
 
-def _assemble(acc: dict, num_blocks: int, rank: int, mode: int) -> Poly:
-    """Shared tail of t1/t2: expand sum of c*(x-1)^k*(y-1)^k*f(y,i) terms and
-    divide by (y-1)^rank.
+def _assemble(pa: Poly, num_blocks: int, rank: int, mode: int) -> Poly:
+    """Shared tail of t1/t2: expand the sum of c*(x-1)^k*(y-1)^k*f(y,i) over
+    the terms c*q^k*y^i*z^j of `pa` and divide by (y-1)^rank.
 
     mode 1: f = y^(E-i);  mode 2: f = (2-y)^i * y^(E-i) / 2^E.  E - i >= 0,
     as an opposite pair has at most one positive value and a pair of loops
     none.
     """
-    table = Poly(("k", "i", "rest"), {(k, i, num_blocks - i): c for (k, i), c in acc.items()})
+    table = Poly.gather(
+        ("k", "i", "rest"),
+        (((k, i, num_blocks - i), c) for (k, i, j), c in pa.numerators().items()),
+        pa.den,
+    )
     x, y = (Poly.variable(XY, v) for v in XY)
     f_i = 2 - y if mode == 2 else 1
     total = table.compose(XY, {"k": (x - 1) * (y - 1), "i": f_i, "rest": y})
@@ -165,12 +169,7 @@ def t1(
 ) -> Poly:
     """First invariant: substitute q -> (x-1)(y-1), y -> 1/y, z -> 1 into the
     coflow polynomial, scale by y^blocks/(y-1)^rank."""
-    pa = a_poly(p.om, budget=budget, jobs=jobs)
-    acc: dict = {}
-    for (k, i, j), c in pa.terms.items():
-        key = (k, i)
-        acc[key] = acc.get(key, 0) + c
-    return _assemble(acc, p.num_blocks, p.om.rank, mode=1)
+    return _assemble(a_poly(p.om, budget=budget, jobs=jobs), p.num_blocks, p.om.rank, mode=1)
 
 
 def t2(
@@ -178,13 +177,11 @@ def t2(
 ) -> Poly:
     """Second invariant: average the q -> (x-1)(y-1), y -> (2-y)/y, z -> 1
     substitution over all complete orientations."""
-    acc: dict = {}
-    for ori in complete_orientations(p, budget=budget):
-        pa = a_poly(ori, budget=budget, jobs=jobs)
-        for (k, i, j), c in pa.terms.items():
-            key = (k, i)
-            acc[key] = acc.get(key, 0) + c
-    return _assemble(acc, p.num_blocks, p.om.rank, mode=2)
+    pa = poly_sum(QYZ, (
+        (a_poly(ori, budget=budget, jobs=jobs), 1, (0, 0, 0))
+        for ori in complete_orientations(p, budget=budget)
+    ))
+    return _assemble(pa, p.num_blocks, p.om.rank, mode=2)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def t1_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Po
     q_xy = (Poly.variable(XY, "x") - 1) * (Poly.variable(XY, "y") - 1)
     opposite = [mask_of(pr) for pr in om.opposite_pairs()]
     loops = om.loops_mask
-    total = Poly(XY, {})
+    parts = []
     for s in range(1 << n):
         kept = om.full_mask & ~s
         # minors with a loop or an opposite pair have zero strict polynomial
@@ -215,11 +212,11 @@ def t1_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Po
         if strict.is_zero():
             continue
         ak = kept.bit_count()
-        pref = Poly.monomial(XY, (0, p.num_blocks - ak), Fraction(-1) ** ak)
+        pref = Poly.monomial(XY, (0, p.num_blocks - ak), (-1) ** ak)
         pref = pref * (Poly.variable(XY, "x") - 1) ** (r - sub.rank)
         pref = pref * (Poly.variable(XY, "y") - 1) ** (ak - sub.rank)
-        total = total + pref * strict
-    return total
+        parts.append((pref * strict, 1, (0, 0)))
+    return poly_sum(XY, parts)
 
 
 def t2_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
@@ -229,7 +226,7 @@ def t2_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Po
     e = p.num_blocks
     q_xy = (Poly.variable(XY, "x") - 1) * (Poly.variable(XY, "y") - 1)
     half_y = Poly.variable(XY, "y") * Fraction(1, 2)
-    total = Poly(XY, {})
+    parts = []
     for ori in complete_orientations(p, budget=budget):
         for s in range(1 << e):
             sub = ori.delete(s)
@@ -237,11 +234,11 @@ def t2_by_subsets(p: PartialOrientedMatroid, budget: int = DEFAULT_BUDGET) -> Po
             if strict.is_zero():
                 continue
             ak = e - s.bit_count()
-            pref = half_y ** s.bit_count() * Fraction(-1) ** ak
+            pref = half_y ** s.bit_count() * (-1) ** ak
             pref = pref * (Poly.variable(XY, "x") - 1) ** (r - sub.rank)
             pref = pref * (Poly.variable(XY, "y") - 1) ** (ak - sub.rank)
-            total = total + pref * strict
-    return total
+            parts.append((pref * strict, 1, (0, 0)))
+    return poly_sum(XY, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +392,7 @@ def t_by_activities(
     pair_positions = [j for j, b in enumerate(p.blocks) if len(b) == 2]
     if order is None:
         order = pair_positions
-    total = Poly(XY, {})
+    parts = []
     for basis in potential_bases(p):
         internal, external = activities(p, basis, order)
         reduced = pom_minor(
@@ -405,8 +402,8 @@ def t_by_activities(
         )
         fn = t1 if mode == 1 else t2
         term = fn(reduced, budget=budget, jobs=jobs)
-        total = total + Poly.monomial(XY, (len(internal), len(external)), 1) * term
-    return total
+        parts.append((term, 1, (len(internal), len(external))))
+    return poly_sum(XY, parts)
 
 
 def tutte_subgraph(
@@ -418,7 +415,7 @@ def tutte_subgraph(
     single_positions = [j for j, b in enumerate(p.blocks) if len(b) == 1]
     r = p.om.rank
     xv, yv = Poly.variable(XY, "x"), Poly.variable(XY, "y")
-    total = Poly(XY, {})
+    parts = []
     for code in range(1 << len(pair_positions)):
         s = [pair_positions[i] for i in range(len(pair_positions)) if code >> i & 1]
         sbar = [j for j in pair_positions if j not in s]
@@ -427,10 +424,9 @@ def tutte_subgraph(
         reduced = pom_minor(p, delete=sbar, contract=s)
         fn = t1 if mode == 1 else t2
         term = fn(reduced, budget=budget, jobs=jobs)
-        total = total + (xv - 1) ** (r - rank_kept) * (yv - 1) ** (
-            len(s) - rank_s
-        ) * term
-    return total
+        weight = (xv - 1) ** (r - rank_kept) * (yv - 1) ** (len(s) - rank_s)
+        parts.append((weight * term, 1, (0, 0)))
+    return poly_sum(XY, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -537,39 +533,32 @@ def pom_evaluations(
             )
         )
 
-    report("acyclic-count-t1", v1.eval_frac({"x": 2, "y": 0}), Fraction(acyclic))
-    report("acyclic-count-t2", v2.eval_frac({"x": 2, "y": 0}), Fraction(acyclic))
-    report(
-        "totally-cyclic-count-t2",
-        v2.eval_frac({"x": 0, "y": 2}),
-        Fraction(totally_cyclic),
-    )
+    report("acyclic-count-t1", v1.eval_frac({"x": 2, "y": 0}), acyclic)
+    report("acyclic-count-t2", v2.eval_frac({"x": 2, "y": 0}), acyclic)
+    report("totally-cyclic-count-t2", v2.eval_frac({"x": 0, "y": 2}), totally_cyclic)
 
     # independent-set generating functions at y = 1 (x shifted by one)
     r = p.om.rank
     single_positions = [j for j, b in enumerate(p.blocks) if len(b) == 1]
     lhs1 = v1.compose(("x",), {"x": Poly.variable(("x",), "x") + 1, "y": 1})
     lhs2 = v2.compose(("x",), {"x": Poly.variable(("x",), "x") + 1, "y": 1})
-    rhs1 = Poly(("x",), {})
-    rhs2 = Poly(("x",), {})
+    independent = []  # (rank - |F|, oriented blocks in F) per independent F
     for code in range(1 << p.num_blocks):
         f = [j for j in range(p.num_blocks) if code >> j & 1]
-        if _block_rank(p, f) != len(f):
-            continue
-        xpow = Poly.monomial(("x",), (r - len(f),), 1)
-        oriented_in_f = sum(1 for j in f if len(p.blocks[j]) == 1)
-        rhs1 = rhs1 + xpow * Fraction(1, 2**oriented_in_f)
-        rhs2 = rhs2 + xpow
-    rhs2 = rhs2 * Fraction(1, 2 ** len(single_positions))
+        if _block_rank(p, f) == len(f):
+            independent.append((r - len(f), sum(1 for j in f if len(p.blocks[j]) == 1)))
+    e = p.num_blocks
+    rhs1 = Poly.gather(("x",), (((k,), 2 ** (e - o)) for k, o in independent), 2**e)
+    rhs2 = Poly.gather(("x",), (((k,), 1) for k, _ in independent), 2 ** len(single_positions))
     report("independents-t1", lhs1, rhs1)
     report("independents-t2", lhs2, rhs2)
 
     # y = 0 reduces to a signed sum of strict characteristic polynomials
     one_minus_x = 1 - Poly.variable(("x",), "x")
-    rhs = Poly(("x",), {})
-    for ori in orientations:
-        rhs = rhs + char_pair(ori, budget=budget).strict.compose(("x",), {"q": one_minus_x})
-    rhs = rhs * Fraction(-1) ** r
+    strict = poly_sum(("q",), (
+        (char_pair(ori, budget=budget).strict, (-1) ** r, (0,)) for ori in orientations
+    ))
+    rhs = strict.compose(("x",), {"q": one_minus_x})
     report("y-zero-t1", v1.subs_scalar("y", 0), rhs)
     report("y-zero-t2", v2.subs_scalar("y", 0), rhs)
     return out

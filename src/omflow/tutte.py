@@ -10,8 +10,6 @@ polynomial and change its variables (`Poly.compose`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Poly
 from .coflows import DEFAULT_BUDGET
 from .errors import BudgetExceeded
@@ -58,5 +56,5 @@ def characteristic(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> Poly:
     t = tutte(om, budget)
     qv = ("q",)
     one_minus_q = Poly.const(qv, 1) - Poly.variable(qv, "q")
-    out = t.compose(qv, {"x": one_minus_q, "y": Fraction(0)})
-    return out * Fraction(-1) ** om.rank
+    out = t.compose(qv, {"x": one_minus_q, "y": 0})
+    return out * (-1) ** om.rank

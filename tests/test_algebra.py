@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from omflow.algebra import (
     mat_rank,
     poly_div_linear,
     poly_div_linear_power,
+    poly_sum,
 )
 from omflow.errors import (
     DegreeExceedsHomogenizer,
@@ -29,12 +31,19 @@ from omflow.errors import (
 )
 from omflow.identities import _dual_at_cube_root, _duality_points, _mul_at_cube_root
 
+import poly_oracle
+
 Q = Fraction
 YZ = ("y", "z")
 
 
 def P(vars, terms):
     return Poly(vars, terms)
+
+
+def coeffs(p: Poly) -> dict:
+    """{exponents: Fraction coefficient} of a Poly."""
+    return {e: Fraction(c, p.den) for e, c in p.numerators().items()}
 
 
 # -- oracles: the term-by-term substitutions that `Poly.compose` replaced ----
@@ -57,7 +66,7 @@ def oracle_compose(self, out_vars: tuple[str, ...], mapping: dict) -> "Poly":
     # cache powers of each image
     pows: list[dict] = [dict() for _ in images]
     total = Poly(out_vars, {})
-    for e, c in self.terms.items():
+    for e, c in coeffs(self).items():
         term = Poly.const(out_vars, c)
         for idx, k in enumerate(e):
             if k < 0:
@@ -92,7 +101,7 @@ def oracle_homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly)
         return cache[k]
 
     total = Poly(p.vars, {})
-    for e, c in p.terms.items():
+    for e, c in coeffs(p).items():
         i, j = e[iy], e[iz]
         if i < 0 or j < 0:
             raise ValueError("homogenization needs nonnegative exponents")
@@ -130,14 +139,14 @@ def oracle_grouped_compose(self, out_vars: tuple[str, ...], mapping: dict) -> "P
             img = Poly.const(out_vars, as_frac(img))
         elif img.vars != out_vars:
             img = img.lift(out_vars)
-        if len(img.terms) == 1:
-            ((exp, c),) = img.terms.items()
+        if len(img.numerators()) == 1:
+            ((exp, c),) = coeffs(img).items()
             single.append((idx, exp, c))
         else:
             multi.append((idx, [Poly.const(out_vars, 1), img]))
     groups: dict = {}
     zero = (0,) * len(out_vars)
-    for e, c in self.terms.items():
+    for e, c in coeffs(self).items():
         if any(k < 0 for k in e):
             raise ValueError("compose does not accept Laurent exponents")
         exp = zero
@@ -159,7 +168,7 @@ def oracle_grouped_compose(self, out_vars: tuple[str, ...], mapping: dict) -> "P
                 prod = pows[k] if prod is None else prod * pows[k]
         if prod is not None:
             part = prod * part
-        for exp, c in part.terms.items():
+        for exp, c in coeffs(part).items():
             out[exp] = out.get(exp, 0) + c
     return Poly(out_vars, out)
 
@@ -199,7 +208,7 @@ def oracle_at_cube_root(p: Poly) -> tuple:
     """(a, b) with p(t) = a + b*t at a primitive cube root of unity t, for p
     univariate in t: reduce with t^3 = 1 and t^2 = -1 - t."""
     a = b = Fraction(0)
-    for (k,), c in p.terms.items():
+    for (k,), c in coeffs(p).items():
         if k % 3 == 0:
             a += c
         elif k % 3 == 1:
@@ -222,9 +231,13 @@ def oracle_dual_at_cube_root(stats: Poly, n: int, y0, z0) -> tuple:
 
 
 def assert_normal(p: Poly):
-    """Every stored coefficient is an int, or a Fraction that is not one."""
-    for c in p.terms.values():
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+    """Nonzero int numerators over an int den >= 1 that shares no factor with
+    all of them; so the zero polynomial has den 1."""
+    nums = p.numerators()
+    assert type(p.den) is int and p.den >= 1, p.den
+    assert all(type(c) is int and c for c in nums.values()), nums
+    assert math.gcd(p.den, *nums.values()) == 1, (p.den, nums)
+    assert nums or p.den == 1
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -355,6 +368,139 @@ class TestPoly:
             p.to_json_obj()
 
 
+# -- the int/Fraction Poly this storage replaced, as an oracle ----------------
+
+OldPoly = poly_oracle.Poly
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def term_dicts(nvars=2, lo=0, hi=3, max_size=6):
+    exps = st.tuples(*[st.integers(lo, hi)] * nvars)
+    return st.dictionaries(exps, coefficients, max_size=max_size)
+
+
+def both(terms, vars=XY):
+    return Poly(vars, terms), OldPoly(vars, terms)
+
+
+def same(new: Poly, old) -> None:
+    """`new` holds the polynomial `old` holds, in normal form, and prints
+    the same JSON when it has no negative exponents."""
+    assert new.vars == old.vars
+    assert coeffs(new) == {e: Q(c) for e, c in old.terms.items()}
+    assert_normal(new)
+    if all(k >= 0 for e in old.terms for k in e):
+        assert json_dumps_canonical(new.to_json_obj()) == json_dumps_canonical(
+            old.to_json_obj()
+        )
+
+
+# an image for `compose`: a scalar, or a polynomial over XY given by its terms
+old_images = st.one_of(st.integers(-3, 3), coefficients, term_dicts(max_size=3))
+
+
+def image_pair(img):
+    return both(img) if isinstance(img, dict) else (img, img)
+
+
+class TestAgainstParentPoly:
+    @given(term_dicts(), term_dicts(), coefficients, st.integers(-4, 4), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, c, k, e):
+        (na, oa), (nb, ob) = both(a), both(b)
+        same(na + nb, oa + ob)
+        same(na - nb, oa - ob)
+        same(na * nb, oa * ob)
+        same(-na, -oa)
+        same(na * c, oa * c)
+        same(k * na, k * oa)
+        same(na + c, oa + c)
+        same(c - na, c - oa)
+        same(na**e, oa**e)
+
+    @given(term_dicts(lo=-2), coefficients)
+    @settings(max_examples=150, deadline=None)
+    def test_subs_scalar(self, terms, value):
+        new, old = both(terms)
+        try:
+            want = old.subs_scalar("x", value)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                new.subs_scalar("x", value)
+        else:
+            same(new.subs_scalar("x", value), want)
+
+    @given(term_dicts(3), old_images, old_images, old_images)
+    @settings(max_examples=150, deadline=None)
+    def test_compose(self, terms, a, b, c):
+        new, old = both(terms, ("a", "b", "c"))
+        pairs = [image_pair(img) for img in (a, b, c)]
+        same(
+            new.compose(XY, dict(zip("abc", (n for n, _ in pairs)))),
+            old.compose(XY, dict(zip("abc", (o for _, o in pairs)))),
+        )
+
+    @given(term_dicts(lo=-2), coefficients, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_poly_div_linear(self, terms, root, exact):
+        new, old = both(terms)
+        if exact:  # multiply by (x - root) first, so the division is exact
+            new = new * (Poly.variable(XY, "x") - root)
+            old = old * (OldPoly.variable(XY, "x") - root)
+        try:
+            want = poly_oracle.poly_div_linear(old, "x", root)
+        except NonPolynomialResult as e:
+            with pytest.raises(NonPolynomialResult) as got:
+                poly_div_linear(new, "x", root)
+            assert str(got.value) == str(e)
+        else:
+            same(poly_div_linear(new, "x", root), want)
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), coefficients), min_size=1, max_size=6,
+                    unique_by=lambda pt: pt[0]))
+    @settings(max_examples=60, deadline=None)
+    def test_interpolate(self, pts):
+        same(interpolate(pts, var="x"), poly_oracle.interpolate(pts, var="x"))
+
+    @given(term_dicts(3))
+    @settings(max_examples=100, deadline=None)
+    def test_json_round_trip(self, terms):
+        new, old = both(terms, ("q", "y", "z"))
+        assert Poly.from_json_obj(old.to_json_obj()) == new
+        same(Poly.from_json_obj(new.to_json_obj()), OldPoly.from_json_obj(old.to_json_obj()))
+
+    @given(polys(XY), polys(XY))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_by_every_route(self, p, q):
+        zero = (0, 0)
+        routes = [
+            p * 2 * Q(1, 2),
+            Q(1, 3) * p * 3,
+            (p + q) - q,
+            p + Poly(XY, {}),
+            p.compose(XY, {"x": Poly.variable(XY, "x"), "y": Poly.variable(XY, "y")}),
+            Poly.from_json_obj(p.to_json_obj()),
+            Poly(XY, coeffs(p)),
+            Poly(XY, {e: c * 6 for e, c in p.numerators().items()}, p.den * 6),
+            poly_sum(XY, [(p, 3, zero), (q, 1, zero), (p, -2, zero), (q, -1, zero)]),
+        ]
+        for r in routes:
+            assert r == p and hash(r) == hash(p)
+            assert_normal(r)
+
+    @given(st.lists(st.tuples(st.sampled_from(range(3)), st.integers(-3, 3),
+                              st.tuples(st.integers(0, 2), st.integers(0, 2))), max_size=8),
+           st.lists(polys(("x",)), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_poly_sum_matches_repeated_addition(self, parts, summands):
+        want = Poly(XY, {})
+        for i, k, shift in parts:
+            want = want + k * Poly.monomial(XY, shift) * summands[i].lift(XY)
+        got = poly_sum(XY, [(summands[i], k, shift) for i, k, shift in parts])
+        assert got == want
+        assert_normal(got)
+
+
 class TestDivision:
     def test_exact_linear_division(self):
         y = Poly.variable(("y",), "y")
@@ -419,12 +565,12 @@ class TestInterpolate:
     @settings(max_examples=40, deadline=None)
     def test_columns_reproduce_values(self, case):
         xs, columns = case
-        results = interpolate_columns(xs, columns)
+        results, den = interpolate_columns(xs, columns)
         assert len(results) == len(columns)
-        for ys, coeffs in zip(columns, results):
-            assert all(c and 0 <= k < len(xs) for k, c in coeffs.items())
+        for ys, nums in zip(columns, results):
+            assert all(c and 0 <= k < len(xs) for k, c in nums.items())
             for x, y in zip(xs, ys):
-                assert sum(c * x**k for k, c in coeffs.items()) == y
+                assert Q(sum(c * x**k for k, c in nums.items()), den) == y
 
     @given(
         st.lists(
@@ -448,16 +594,20 @@ class TestInterpolate:
         # rational and negative nodes; the second call reads the cached rows
         xs, columns = case
         want = oracle_interpolate_columns(xs, columns)
+        assert poly_oracle.interpolate_columns(xs, columns) == want
         for _ in range(2):
-            got = interpolate_columns(xs, columns)
-            assert got == want
-            for coeffs in got:
-                assert_normal(Poly(("x",), {(k,): c for k, c in coeffs.items()}))
-                assert all(type(c) is int or c.denominator > 1 for c in coeffs.values())
+            got, den = interpolate_columns(xs, columns)
+            assert [{k: Q(c, den) for k, c in col.items()} for col in got] == want
+            for col in got:
+                assert all(type(c) is int for c in col.values())
+                assert_normal(Poly(("x",), {(k,): c for k, c in col.items()}, den))
 
     def test_columns_accept_string_and_mixed_nodes(self):
         nodes, cols = ["-1/2", 3, Q(5, 3), -4], [[1, Q(2, 3), 0, Q(-7, 2)], [0, 0, 0, 0]]
-        assert interpolate_columns(nodes, cols) == oracle_interpolate_columns(nodes, cols)
+        got, den = interpolate_columns(nodes, cols)
+        assert [{k: Q(c, den) for k, c in col.items()} for col in got] == (
+            oracle_interpolate_columns(nodes, cols)
+        )
 
     def test_columns_duplicate_node(self):
         with pytest.raises(DuplicateNode):
@@ -507,7 +657,7 @@ class TestHomog:
     @settings(max_examples=100, deadline=None)
     def test_general_matches_oracle(self, p, slack, ny, nz, den):
         # n is the (y, z) degree of p plus the slack; slack -1 overshoots it
-        n = max(0, max((i + j for _, i, j in p.terms), default=0) + slack)
+        n = max(0, max((i + j for _, i, j in p.numerators()), default=0) + slack)
         try:
             want = oracle_homog_general(p, n, ny, nz, den)
         except DegreeExceedsHomogenizer:
@@ -583,7 +733,7 @@ class TestEisenstein:
     @settings(max_examples=80, deadline=None)
     def test_dual_at_cube_root_matches_oracle(self, stats, slack, y0, z0):
         assume(1 + y0 + z0 != 0)
-        n = max((i + j for i, j in stats.terms), default=0) + slack
+        n = max((i + j for i, j in stats.numerators()), default=0) + slack
         got = _dual_at_cube_root(stats, n, y0, z0)
         assert got == oracle_dual_at_cube_root(stats, n, y0, z0)
 

@@ -231,14 +231,14 @@ class TestAPoly:
     def test_degree_bounds(self):
         for om in (coloop(), digon(), triangle()):
             p = a_poly(om)
-            for (k, i, j) in p.terms:
+            for (k, i, j) in p.numerators():
                 assert k <= om.rank
                 assert i + j <= om.n
 
     def test_symmetry_in_y_z(self):
         for om in (triangle(), digon()):
             p = a_poly(om)
-            swapped = Poly(QYZ, {(k, j, i): c for (k, i, j), c in p.terms.items()})
+            swapped = Poly(QYZ, {(k, j, i): c for (k, i, j), c in p.numerators().items()}, p.den)
             assert p == swapped
 
 
@@ -280,12 +280,10 @@ class TestCharPolys:
             pair = char_pair(om)
             for q in (3, 5, 7):
                 stats = a_eval(om, q)
-                assert pair.strict.eval_frac({"q": q}) == stats.terms.get(
-                    (om.n, 0), Q(0)
-                )
-                weak_direct = sum(
-                    (c for (g, l), c in stats.terms.items() if g == 0), Q(0)
-                )
+                assert stats.den == 1
+                counts = stats.numerators()
+                assert pair.strict.eval_frac({"q": q}) == counts.get((om.n, 0), 0)
+                weak_direct = sum(c for (g, l), c in counts.items() if g == 0)
                 assert pair.weak.eval_frac({"q": q}) == weak_direct
 
 
@@ -383,9 +381,9 @@ class TestStatisticsAgainstLoops:
         if q % 2:
             per = q ** d.components()
             want = {e: Q(c // per) for e, c in potentials.items()}
-            assert digraph_a_eval(d, q).terms == want
+            assert digraph_a_eval(d, q) == Poly(("y", "z"), want)
         want = {e: Q(c) for e, c in colorings.items()}
-        assert b_poly(d).subs_scalar("q", q).terms == want
+        assert b_poly(d).subs_scalar("q", q) == Poly(("y", "z"), want)
 
 
 class TestDigraphRoutes:
@@ -441,7 +439,7 @@ class TestDigraphRoutes:
 
     def test_b_poly_degree(self):
         d = Digraph.make(3, [(0, 1), (1, 2), (2, 0)])
-        assert all(k <= 3 for k, _, _ in b_poly(d).terms)
+        assert all(k <= 3 for k, _, _ in b_poly(d).numerators())
 
     @pytest.mark.parametrize("nv", [0, 3])
     def test_arcless_digraphs(self, nv):

@@ -8,10 +8,12 @@ import pytest
 from omflow import identities
 from omflow.algebra import Poly
 from omflow.coflows import a_poly
-from omflow.fixtures import doubled_matroid, get_fixture
+from omflow.fixtures import default_corpus, doubled_matroid, get_fixture
 from omflow.identities import (
+    EXPANSION_SIZE_CAP,
     CheckReport,
     _cmp,
+    _partitions,
     run_suites,
     verify_duality,
     verify_tutte_relations,
@@ -82,7 +84,7 @@ def test_dual_at_three_fails_on_one_perturbed_dual_coefficient(fixture, monkeypa
     def perturbed(m, q, **kw):
         stats = real_a_eval(m, q, **kw)
         if m is dual and q == 3:
-            stats = stats + Poly.monomial(stats.vars, min(stats.terms), 1)
+            stats = stats + Poly.monomial(stats.vars, min(stats.numerators()), 1)
         return stats
 
     reports = {r.check: r for r in verify_duality(om, fixture)}
@@ -132,9 +134,9 @@ def test_acyclic_reorientation_counts_match_frozen_polynomial():
     assert lhs == Poly(("z",), {(1,): Fraction(1), (2,): Fraction(4), (3,): Fraction(1)})
     p = a_poly(om)
     rhs = Poly(("z",), {})
-    for (k, i, j), c in p.terms.items():
+    for (k, i, j), c in p.numerators().items():
         if i + j == om.n:
-            rhs = rhs + Poly.monomial(("z",), (j,), c * Fraction(-1) ** k)
+            rhs = rhs + Poly.monomial(("z",), (j,), Fraction(c, p.den) * (-1) ** k)
     assert lhs == Fraction(-1) ** om.rank * rhs
 
 
@@ -146,3 +148,14 @@ def test_r10_tutte_suite_negative_free():
         r for r in verify_tutte_relations(om, "R10") if r.check == "diagonal-potts"
     ]
     assert reports and all(r.status == "pass" for r in reports)
+
+
+def test_reoriented_keys_from_masks():
+    # verify_expansions reads each reoriented minor's memo key off the circuit
+    # masks; it must be the key of the reorientation it stands for
+    for name, om, _ in default_corpus():
+        if om.n > EXPANSION_SIZE_CAP:
+            continue
+        for mdel, mcon, _, t, _, _ in _partitions(om):
+            assert mdel.reoriented_key(t) == mdel.reorient(t).canonical_key(), name
+            assert mcon.reoriented_key(t) == mcon.reorient(t).canonical_key(), name

@@ -109,6 +109,39 @@ def test_caches_are_bounded(path):
     assert lines == [], f"{path.name} has unbounded caches at lines {lines}"
 
 
+def _raw_poly_reads(tree):
+    """Lines that read `Poly`'s raw numerator storage: the attribute `_nums`,
+    or the string "_nums" (as `getattr` takes it)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_nums":
+            yield node.lineno
+        elif isinstance(node, ast.Constant) and node.value == "_nums":
+            yield node.lineno
+
+
+def test_raw_storage_check_flags_raw_reads():
+    flagged = [
+        "p._nums",
+        "for e, c in p._nums.items(): pass",
+        "n = {e: c for e, c in other._nums.items()}",
+        "getattr(p, '_nums')",
+    ]
+    for text in flagged:
+        assert list(_raw_poly_reads(ast.parse(text))), text
+    accessor = "nums = p.numerators()\nd = p.den\nt = obj['terms']"
+    assert list(_raw_poly_reads(ast.parse(accessor))) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "algebra.py"], ids=lambda p: p.name
+)
+def test_poly_storage_is_read_only_in_algebra(path):
+    # every other module reads numerators through `Poly.numerators()`, over
+    # `Poly.den`, so none can mistake a numerator for a coefficient
+    lines = list(_raw_poly_reads(ast.parse(path.read_text(), filename=str(path))))
+    assert lines == [], f"{path.name} reads Poly._nums at lines {lines}"
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
