@@ -257,7 +257,8 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined")
-        out, base = Poly.const(self.vars, 1), self
+        out = Poly.const(self.vars, 1)
+        base = self
         while k:
             if k & 1:
                 out = out * base
@@ -328,7 +329,7 @@ class Poly:
         out_vars = tuple(out_vars)
         zero = (0,) * len(out_vars)
         tops = list(map(max, zip(*self._nums))) if self._nums else [0] * len(self.vars)
-        if self._nums and min(map(min, zip(*self._nums))) < 0:
+        if min(map(min, zip(*self._nums)), default=0) < 0:
             raise ValueError("compose does not accept Laurent exponents")
         den = self.den
         single = []  # (index, exponents, numerator * denominator powers)
@@ -388,10 +389,11 @@ class Poly:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Poly":
-        terms = obj["terms"]
-        return cls(obj["vars"], {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in terms
-        })
+        vars = tuple(obj["vars"])
+        terms = {}
+        for t in obj["terms"]:
+            terms[tuple(t["exp"])] = Fraction(int(t["num"]), int(t["den"]))
+        return cls(vars, terms)
 
     def __repr__(self):
         if not self._nums:
@@ -403,7 +405,10 @@ class Poly:
             mono = "*".join(
                 f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k
             )
-            bits.append(f"{c}*{mono}" if mono and c != "1" else mono or c)
+            if mono:
+                bits.append(f"{c}*{mono}" if c != "1" else mono)
+            else:
+                bits.append(c)
         return " + ".join(bits)
 
 
@@ -420,6 +425,9 @@ def poly_sum(vars: tuple, parts) -> Poly:
     counts: dict = {}  # (id(p), shift) -> [p, total k, shift]
     for p, k, shift in parts:
         counts.setdefault((id(p), shift), [p, 0, shift])[1] += k
+    for p, _, shift in counts.values():
+        if p.vars != vars[: len(p.vars)] or len(shift) != len(vars):
+            raise ValueError(f"variable mismatch: {vars} vs {p.vars}, shift {shift}")
     den = math.lcm(*(p.den for p, _, _ in counts.values()))
     out: dict = {}
     for p, k, shift in counts.values():
@@ -572,11 +580,17 @@ def homog_substitute(p: Poly, n: int, mode: str) -> Poly:
     The common denominator is 1+y+z, cleared by multiplying through with
     (1+y+z)**n.
     """
-    if mode not in ("shifted", "plain"):
+    yz = ("y", "z")
+    y = Poly.variable(yz, "y")
+    z = Poly.variable(yz, "z")
+    one = Poly.const(yz, 1)
+    if mode == "shifted":
+        num_y, num_z = one + y, one + z
+    elif mode == "plain":
+        num_y, num_z = y, z
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    y, z = (Poly.variable(("y", "z"), v) for v in "yz")
-    shift = 1 if mode == "shifted" else 0
-    return homog_general(p, n, y + shift, z + shift, 1 + y + z)
+    return homog_general(p, n, num_y, num_z, one + y + z)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ that the tally drops.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -86,11 +85,6 @@ def _memoized(fn):
         return hit
 
     return cached
-
-
-def memo_hit(fn, key: tuple):
-    """What the memoized `fn` holds for the canonical key `key`, or None."""
-    return _MEMO.get((inspect.unwrap(fn), key))
 
 
 def clear_caches() -> None:

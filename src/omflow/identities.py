@@ -37,7 +37,6 @@ from .coflows import (
     char_pair,
     coflow_histogram,
     digraph_a_eval,
-    memo_hit,
 )
 from .errors import BudgetExceeded
 from .matroid import CIRCUIT_GROUND_CAP, Digraph, OrientedMatroid, bits_of
@@ -257,7 +256,7 @@ def verify_expansions(
     n, r = om.n, om.rank
 
     # count the partitions per reoriented minor, by its memo key read off the
-    # masks, and monomial; a reoriented minor is built only on a memo miss
+    # masks, and monomial; each distinct reoriented minor is built once
     minors = {}  # key -> (minor, reorientation)
     tallies = ({}, {})  # deletions, contractions: (key, monomial) -> count
     for mdel, mcon, (r_del, _), t, s_ct, t_ct in _partitions(om):
@@ -267,8 +266,7 @@ def verify_expansions(
             item = (key, (qk, s_ct, t_ct))
             tally[item] = tally.get(item, 0) + 1
     pairs = {
-        key: memo_hit(char_pair, key) or char_pair(m.reorient(t), budget=budget)
-        for key, (m, t) in minors.items()
+        key: char_pair(m.reorient(t), budget=budget) for key, (m, t) in minors.items()
     }
     lhs1, lhs2, lhs3, lhs4 = (
         poly_sum(QYZ, ((side(pairs[key]), c, shift) for (key, shift), c in tally.items()))

@@ -322,8 +322,9 @@ class OrientedMatroid:
         return (self.n, tuple((c.pos, c.neg) for c in self.circuits))
 
     def reoriented_key(self, smask: int) -> tuple:
-        """`self.reorient(smask).canonical_key()`, read off the circuit masks
-        without building the reorientation."""
+        """`self.reorient(smask).canonical_key()`, without building the
+        reorientation: every circuit flipped on `smask`, signed so that its
+        lowest element is positive, in the stored order."""
         out = []
         for c in self.circuits:
             s = c.pos | c.neg
@@ -435,7 +436,7 @@ class OrientedMatroid:
     # -- reorientation --------------------------------------------------------
 
     def reorient(self, smask: int) -> "OrientedMatroid":
-        circuits = _sorted_circuits(c.reorient(smask).canonical() for c in self.circuits)
+        circuits = (SignedSubset(pos, neg) for pos, neg in self.reoriented_key(smask)[1])
         return OrientedMatroid(self.labels, self.tu_status, circuits)
 
     def classify(self) -> Classification:

@@ -439,6 +439,9 @@ class TestAgainstParentPoly:
             new.compose(XY, dict(zip("abc", (n for n, _ in pairs)))),
             old.compose(XY, dict(zip("abc", (o for _, o in pairs)))),
         )
+        # a polynomial in no variables: its constant term alone
+        new, old = both({(): terms.get((0, 0, 0), 0)}, ())
+        same(new.compose(XY, {}), old.compose(XY, {}))
 
     @given(term_dicts(lo=-2), coefficients, st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -499,6 +502,13 @@ class TestAgainstParentPoly:
         got = poly_sum(XY, [(summands[i], k, shift) for i, k, shift in parts])
         assert got == want
         assert_normal(got)
+
+    def test_poly_sum_refuses_mismatched_summands(self):
+        y = Poly.variable(("y",), "y")
+        with pytest.raises(ValueError, match="variable mismatch"):
+            poly_sum(XY, [(y, 1, (0, 0))])  # y is not the first of XY
+        with pytest.raises(ValueError, match="variable mismatch"):
+            poly_sum(XY, [(y.lift(XY), 1, (0,))])  # shift too short
 
 
 class TestDivision:

@@ -151,11 +151,18 @@ def test_r10_tutte_suite_negative_free():
 
 
 def test_reoriented_keys_from_masks():
-    # verify_expansions reads each reoriented minor's memo key off the circuit
-    # masks; it must be the key of the reorientation it stands for
+    # verify_expansions counts partitions by each reoriented minor's memo key,
+    # read off the circuit masks; it must list the circuits flipped one by
+    # one, signed canonically, in the stored order.  Every distinct oriented
+    # matroid of the corpus within the suite's size cap is walked.
+    small = {}
     for name, om, _ in default_corpus():
-        if om.n > EXPANSION_SIZE_CAP:
-            continue
+        if om.n <= EXPANSION_SIZE_CAP:
+            small.setdefault(om.canonical_key(), (name, om))
+    for name, om in small.values():
         for mdel, mcon, _, t, _, _ in _partitions(om):
-            assert mdel.reoriented_key(t) == mdel.reorient(t).canonical_key(), name
-            assert mcon.reoriented_key(t) == mcon.reorient(t).canonical_key(), name
+            for m in (mdel, mcon):
+                flipped = sorted((c.reorient(t).canonical() for c in m.circuits),
+                                 key=lambda c: (c.support, c.pos))
+                want = (m.n, tuple((c.pos, c.neg) for c in flipped))
+                assert m.reoriented_key(t) == m.reorient(t).canonical_key() == want, name
