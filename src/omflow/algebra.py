@@ -691,11 +691,6 @@ class F2Space:
             v = min(v, v ^ b)
         return v == 0
 
-    def reduce(self, v: int) -> int:
-        for b in self.basis:
-            v = min(v, v ^ b)
-        return v
-
 
 def f2_span(vectors) -> F2Space:
     basis: list[int] = []

@@ -170,7 +170,7 @@ def _from_json(obj: dict, source: str, assume_tu: bool):
             (directed if kind == "directed" else undirected).append(_arc(arc, what))
         nv = _vertex_count(obj, source)
         p = pom_graph(nv, directed, undirected, labels)
-        if p.pair_blocks:
+        if p.pairs:
             return ("pom", p)
         return ("om", p.om, Digraph.make(nv, directed, labels))
     if "arcs" in obj:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import F2Space, f2_enumerate, f2_span
 from .coflows import DEFAULT_BUDGET, even_char_pair
 from .errors import BudgetExceeded, InvariantViolated
-from .identities import CheckReport
+from .identities import _expect, _skip
 from .matroid import OrientedMatroid, positive_union
 from .tutte import tutte
 
@@ -162,39 +162,31 @@ def verify_class_counts(
 ) -> list:
     """Check the four class counts against their polynomial evaluations."""
     suite = "classes"
-    out = []
     if om.tu_status != "true":
-        out.append(
-            CheckReport(suite, "all", name, "skip", "input is not totally unimodular")
-        )
-        return out
+        return [_skip(suite, "all", name, "input is not totally unimodular")]
     try:
         geq, gt = omega_counts(om, budget)
         rc_all = reorientation_classes(om, "all", budget)
     except BudgetExceeded as exc:
-        out.append(CheckReport(suite, "all", name, "skip", str(exc)))
-        return out
-
-    def check(label, got, want):
-        ok = got == want
-        detail = "" if ok else f"got {got}, want {want}"
-        out.append(CheckReport(suite, label, name, "pass" if ok else "fail", detail))
+        return [_skip(suite, "all", name, str(exc))]
 
     t = tutte(om, budget)
-    check("all-classes-tutte-1-2", rc_all.count, t.eval_frac({"x": 1, "y": 2}))
-    check("acyclic-classes-tutte-1-0", rc_all.acyclic_count, t.eval_frac({"x": 1, "y": 0}))
     even = even_char_pair(om, budget=budget)
-    check("cocycle-classes-weak-even-0", geq, even.weak.eval_frac({"q": 0}))
-    check(
-        "acyclic-cocycle-classes-strict-even-0",
-        gt,
-        (-1) ** om.rank * even.strict.eval_frac({"q": 0}),
-    )
+    out = [
+        _expect(suite, "all-classes-tutte-1-2", name, rc_all.count,
+                t.eval_frac({"x": 1, "y": 2})),
+        _expect(suite, "acyclic-classes-tutte-1-0", name, rc_all.acyclic_count,
+                t.eval_frac({"x": 1, "y": 0})),
+        _expect(suite, "cocycle-classes-weak-even-0", name, geq,
+                even.weak.eval_frac({"q": 0})),
+        _expect(suite, "acyclic-cocycle-classes-strict-even-0", name, gt,
+                (-1) ** om.rank * even.strict.eval_frac({"q": 0})),
+    ]
     # span membership and the parity criterion cut out the same sets
     space = cocycle_space(om)
     if om.n <= 12:
         ok = all(space.contains(s) == is_cocycle(om, s) for s in range(1 << om.n))
-        check("cocycle-space-vs-parity", ok, True)
+        out.append(_expect(suite, "cocycle-space-vs-parity", name, ok, True))
     # positive cocycles are closed under transport: if s is a positive
     # cocycle and s' is one of the reorientation by s, so is s ^ s'
     members = f2_enumerate(space)
@@ -205,5 +197,5 @@ def verify_class_counts(
         for s2 in members:
             if is_positive_cocycle(flipped, s2, space):
                 ok = ok and is_positive_cocycle(om, s ^ s2, space)
-    check("positive-cocycle-transport", ok, True)
+    out.append(_expect(suite, "positive-cocycle-transport", name, ok, True))
     return out

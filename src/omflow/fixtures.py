@@ -7,6 +7,12 @@ instances.  Digraphs are enumerated as arc multisets up to relabeling of the
 vertices, with isolated vertices excluded (they leave the column matroid
 unchanged and rescale both sides of the coloring identities by the same
 power of q; the empty and one-vertex digraphs are kept to pin those cases).
+
+Multigraphs (directed or not) are walked in one enumeration order.  The
+first member of each relabeling orbit that the walk meets is mapped
+through every vertex permutation; the least image is the orbit's
+canonical form, and all the images are recorded, so every later member
+of that orbit is recognised by one set lookup.
 """
 
 from __future__ import annotations
@@ -89,14 +95,28 @@ def get_fixture(name: str):
 # ---------------------------------------------------------------------------
 
 
-def _canonical_arcs(arcs: tuple, nv: int) -> tuple:
-    """Lexicographically least relabeling of an arc multiset."""
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        cand = tuple(sorted((perm[u], perm[v]) for u, v in arcs))
-        if best is None or cand < best:
-            best = cand
-    return best
+def _classes(max_vertices: int, max_arcs: int, directed: bool) -> tuple:
+    """(vertices, least relabeling) of every multigraph class whose arcs
+    (or edges, when not `directed`) meet every vertex, in walk order."""
+    out = []
+    for nv in range(1, max_vertices + 1):
+        arc_types = [(u, v) for u in range(nv) for v in range(0 if directed else u, nv)]
+        # each vertex permutation as a map from arc type to arc type, so the
+        # recorded images share their arc tuples instead of copying them
+        moves = [
+            {(u, v): (perm[u], perm[v]) if directed else tuple(sorted((perm[u], perm[v])))
+             for u, v in arc_types}
+            for perm in itertools.permutations(range(nv))
+        ]
+        for k in range(1, max_arcs + 1):
+            seen = set()  # every image of the classes found with k arcs
+            for arcs in itertools.combinations_with_replacement(arc_types, k):
+                if arcs in seen or len({x for arc in arcs for x in arc}) != nv:
+                    continue
+                images = {tuple(sorted(map(move.__getitem__, arcs))) for move in moves}
+                seen |= images
+                out.append((nv, min(images)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=8)
@@ -106,23 +126,7 @@ def corpus_digraph_arcsets(max_vertices: int = 4, max_arcs: int = 5) -> tuple:
     Arcs may repeat and may be self-loops; every vertex of a multi-vertex
     instance must meet some arc.
     """
-    out = [(0, ()), (1, ())]
-    seen = set()
-    for nv in range(1, max_vertices + 1):
-        arc_types = [(u, v) for u in range(nv) for v in range(nv)]
-        for k in range(1, max_arcs + 1):
-            for arcs in itertools.combinations_with_replacement(arc_types, k):
-                touched = set()
-                for u, v in arcs:
-                    touched.add(u)
-                    touched.add(v)
-                if len(touched) != nv:
-                    continue
-                canon = (nv, _canonical_arcs(arcs, nv))
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(canon)
-    return tuple(out)
+    return ((0, ()), (1, ())) + _classes(max_vertices, max_arcs, directed=True)
 
 
 def corpus_digraphs(max_vertices: int = 4, max_arcs: int = 5):
@@ -136,17 +140,6 @@ def corpus_digraphs(max_vertices: int = 4, max_arcs: int = 5):
 # ---------------------------------------------------------------------------
 
 
-def _canonical_edges(edges: tuple, nv: int) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(nv)):
-        cand = tuple(
-            sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 @lru_cache(maxsize=8)
 def corpus_edge_multisets(max_vertices: int = 5, max_edges: int = 4) -> tuple:
     """Multigraph classes (vertices, edges) up to vertex relabeling.
@@ -155,25 +148,7 @@ def corpus_edge_multisets(max_vertices: int = 5, max_edges: int = 4) -> tuple:
     ``max_edges + 1`` vertices, so the default vertex cap only omits
     disconnected unions that factor as direct sums of smaller classes.
     """
-    out = []
-    seen = set()
-    for nv in range(1, max_vertices + 1):
-        edge_types = [
-            (u, v) for u in range(nv) for v in range(u, nv)
-        ]
-        for k in range(1, max_edges + 1):
-            for edges in itertools.combinations_with_replacement(edge_types, k):
-                touched = set()
-                for u, v in edges:
-                    touched.add(u)
-                    touched.add(v)
-                if len(touched) != nv:
-                    continue
-                canon = (nv, _canonical_edges(edges, nv))
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(canon)
-    return tuple(out)
+    return _classes(max_vertices, max_edges, directed=False)
 
 
 def doubled_matroid(nv: int, edges) -> OrientedMatroid:

@@ -92,6 +92,12 @@ def _skip(suite, check, name, why) -> CheckReport:
     return CheckReport(suite, check, name, "skip", detail=why)
 
 
+def _expect(suite, check, name, got, want) -> CheckReport:
+    if got == want:
+        return CheckReport(suite, check, name, "pass")
+    return CheckReport(suite, check, name, "fail", detail=f"got {got}, want {want}")
+
+
 # ---------------------------------------------------------------------------
 # suite: basic structural properties
 # ---------------------------------------------------------------------------
@@ -360,20 +366,8 @@ def verify_reciprocity(
     strict_m1 = cp.strict.eval_frac({"q": -1})
     want_weak = 1 if cls.is_totally_cyclic else 0
     want_strict = sign_r if cls.is_acyclic else 0
-    out.append(
-        CheckReport(
-            suite, "weak-indicator", name,
-            "pass" if weak_m1 == want_weak else "fail",
-            "" if weak_m1 == want_weak else f"got {weak_m1}, want {want_weak}",
-        )
-    )
-    out.append(
-        CheckReport(
-            suite, "strict-indicator", name,
-            "pass" if strict_m1 == want_strict else "fail",
-            "" if strict_m1 == want_strict else f"got {strict_m1}, want {want_strict}",
-        )
-    )
+    out.append(_expect(suite, "weak-indicator", name, weak_m1, want_weak))
+    out.append(_expect(suite, "strict-indicator", name, strict_m1, want_strict))
     if cls.is_acyclic:
         neg_strict = cp.strict.compose(("q",), minus_q)
         out.append(_cmp(suite, "acyclic-strict-weak-flip", name, neg_strict, sign_r * cp.weak))

@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from omflow.algebra import json_dumps_canonical
+from omflow.cocycles import verify_class_counts
 from omflow.coflows import (
     a_even_poly,
     a_poly,
@@ -27,10 +28,10 @@ from omflow.coflows import (
     digraph_a_eval,
     even_char_pair,
 )
-from omflow.fixtures import corpus_poms, default_corpus
+from omflow.fixtures import corpus_digraphs, corpus_doubled, corpus_poms, default_corpus
 from omflow.identities import run_suites
 from omflow.matroid import CIRCUIT_GROUND_CAP
-from omflow.pom import t1, t2
+from omflow.pom import t1, t2, verify_pom
 from omflow.tutte import characteristic, potts, tutte
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -80,6 +81,19 @@ def _share(part: int, parts: int) -> dict:
         add("t1+t2", name, {"t1": t1(p).to_json_obj(), "t2": t2(p).to_json_obj()})
     for name, om, d in corpus[::SUITE_STRIDE][part::parts]:
         add("suite_reports", name, [r.to_json_obj() for r in run_suites(om, name, digraph=d)])
+    for name, p in list(corpus_poms())[part::parts]:
+        add("pom_reports", name, [r.to_json_obj() for r in verify_pom(p, name)])
+    for name, om, _ in corpus[part::parts]:
+        reports = verify_class_counts(om, name)
+        add("class_count_reports", name, [r.to_json_obj() for r in reports])
+    # the instances `omflow corpus` writes, in the objects it writes
+    instances = [(name, d.to_json_obj()) for name, d in corpus_digraphs()]
+    instances += [
+        (name, {"vertices": nv, "edges": [[u, v, "undirected"] for u, v in edges]})
+        for name, (nv, edges), _ in corpus_doubled()
+    ]
+    for name, obj in instances[part::parts]:
+        add("corpus_instances", name, obj)
     return out
 
 

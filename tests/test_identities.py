@@ -13,6 +13,7 @@ from omflow.identities import (
     EXPANSION_SIZE_CAP,
     CheckReport,
     _cmp,
+    _expect,
     _partitions,
     run_suites,
     verify_duality,
@@ -73,6 +74,14 @@ def test_cmp_reports_mismatch():
     r = _cmp("s", "c", "i", one, two)
     assert r.status == "fail" and not r.ok and "lhs=" in r.detail
     assert isinstance(r, CheckReport) and _cmp("s", "c", "i", one, one).ok
+
+
+def test_expect_reports_got_and_want():
+    # the pom, classes and indicator checks report a mismatch in this form
+    bad = _expect("s", "c", "i", Fraction(1, 2), 1)
+    assert (bad.status, bad.detail) == ("fail", "got 1/2, want 1")
+    good = _expect("s", "c", "i", 3, 3)
+    assert (good.status, good.detail) == ("pass", "")
 
 
 @pytest.mark.parametrize("fixture", ["fig-exp-Apoly", "fig-cocycle-classes"])

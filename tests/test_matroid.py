@@ -11,7 +11,13 @@ from omflow.algebra import _eliminate, json_dumps_canonical, mat_from_rows, mat_
 from omflow.cli import load_input
 from omflow.coflows import a_poly, clear_caches, extension_matrix
 from omflow.errors import GroundTooLarge, NotABasis, NotTotallyUnimodular
-from omflow.fixtures import U24_ROWS, default_corpus, get_fixture
+from omflow.fixtures import (
+    U24_ROWS,
+    corpus_digraph_arcsets,
+    corpus_edge_multisets,
+    default_corpus,
+    get_fixture,
+)
 from omflow.matroid import (
     Digraph,
     OrientedMatroid,
@@ -656,3 +662,37 @@ class TestRegularity:
         want = build(rows)
         assert want[0] == "true"
         assert build(moved) == want
+
+
+# -- corpus classes ------------------------------------------------------------
+
+
+def _classes_by_brute_force(max_vertices, max_arcs, directed):
+    """Canonicalize every multiset on its own (least image over all vertex
+    permutations) and keep each canonical form where it first appears."""
+    out = []
+    for nv in range(1, max_vertices + 1):
+        types = [(u, v) for u in range(nv) for v in range(nv) if directed or u <= v]
+        for k in range(1, max_arcs + 1):
+            for arcs in itertools.combinations_with_replacement(types, k):
+                if len({x for arc in arcs for x in arc}) != nv:
+                    continue
+                canon = min(
+                    tuple(sorted(
+                        (perm[u], perm[v]) if directed else tuple(sorted((perm[u], perm[v])))
+                        for u, v in arcs
+                    ))
+                    for perm in itertools.permutations(range(nv))
+                )
+                if (nv, canon) not in out:
+                    out.append((nv, canon))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (2, 2), (3, 3), (4, 3), (3, 4)])
+def test_corpus_classes_match_brute_force_canonicalization(caps):
+    # the walk records each orbit's images instead of canonicalizing every
+    # multiset; it must find the same classes, in the same order
+    arcsets = ((0, ()), (1, ())) + _classes_by_brute_force(*caps, directed=True)
+    assert corpus_digraph_arcsets(*caps) == arcsets
+    assert corpus_edge_multisets(*caps) == _classes_by_brute_force(*caps, directed=False)

@@ -2,8 +2,10 @@
 instances, the linear relation between them, activity bookkeeping, and
 agreement of all four algorithms over a slice of the corpus."""
 
+import random
 from fractions import Fraction
 
+import pom_oracle
 import pytest
 
 from omflow.algebra import Poly
@@ -18,6 +20,7 @@ from omflow.fixtures import (
 )
 from omflow.matroid import Digraph, OrientedMatroid
 from omflow.pom import (
+    _pair_kind,
     activities,
     complete_orientations,
     make_pom,
@@ -102,6 +105,53 @@ def test_activities_match_worked_example():
     assert tally == {(1, 0): 2, (0, 0): 2, (0, 1): 1}
 
 
+# -- rank questions against the cocircuit-based oracle -------------------------
+
+
+def _orders(p):
+    """The default elimination order and four seeded shuffles of it."""
+    yield list(p.pairs)
+    for seed in range(4):
+        order = list(p.pairs)
+        random.Random(seed).shuffle(order)
+        yield order
+
+
+def test_activities_match_cocircuit_oracle():
+    cases = 0
+    for name, p in corpus_poms():
+        for basis in potential_bases(p):
+            for order in _orders(p):
+                want = pom_oracle.activities(p, basis, order)
+                assert activities(p, basis, order) == want, (name, basis, order)
+                cases += 1
+    assert cases >= 400
+
+
+def _recurrence_minors(p):
+    """p and every minor that t_by_recurrence reaches from it, in any
+    elimination order."""
+    yield p
+    for j in p.pairs:
+        kind = pom_oracle._pair_kind(p, j)
+        if kind != "coloop":
+            yield from _recurrence_minors(pom_minor(p, delete=[j]))
+        if kind != "loop":
+            yield from _recurrence_minors(pom_minor(p, contract=[j]))
+
+
+def test_pair_kinds_match_cocircuit_oracle():
+    kinds = {}
+    for name, p in corpus_poms():
+        for minor in _recurrence_minors(p):
+            for j in minor.pairs:
+                want = pom_oracle._pair_kind(minor, j)
+                assert _pair_kind(minor, j) == want, (name, minor, j)
+                kinds[want] = kinds.get(want, 0) + 1
+    assert sum(kinds.values()) >= 400
+    assert set(kinds) == {"loop", "coloop", "generic"}
+
+
 # -- structural validation ----------------------------------------------------
 
 
@@ -163,7 +213,7 @@ def test_pom_minor_reindexes_blocks():
     # both elements of the pair vanish; d becomes a loop on the merged vertex
     assert contracted.num_blocks == 3
     assert contracted.blocks[0] == (0,)
-    assert set(contracted.pair_blocks) == {(1, 2), (3, 4)}
+    assert {contracted.blocks[j] for j in contracted.pairs} == {(1, 2), (3, 4)}
 
 
 # -- algorithm agreement -------------------------------------------------------
@@ -200,7 +250,7 @@ def test_doubled_instances_recover_tutte_polynomial():
         p = doubled_pom(nv, edges)
         assert t1(p) == want
         assert t2(p) == want
-        assert tutte(p.om.delete(sum(1 << b[1] for b in p.pair_blocks))) == want
+        assert tutte(p.om.delete(sum(1 << p.blocks[j][1] for j in p.pairs))) == want
 
 
 def test_acyclic_orientation_count_of_doubled_triangle():

@@ -188,3 +188,39 @@ def test_benchmark_names_exist():
         if obj is None:
             missing.append(".".join([mod, *chain]))
     assert missing == []
+
+
+def _dual_reads(tree):
+    """Lines that name `dual` or `cocircuits` as a function or attribute, so
+    a bound method passed around is caught as well as a call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name in ("dual", "cocircuits"):
+            yield node.lineno
+
+
+def test_dual_check_flags_dual_reads():
+    flagged = [
+        "p.om.dual()",
+        "under.cocircuits()",
+        "[d.support for d in om.cocircuits()]",
+        "f = om.dual\nf()",
+        "from omflow.matroid import dual\ndual(om)",
+    ]
+    for text in flagged:
+        assert list(_dual_reads(ast.parse(text))), text
+    ranks = "om.rank_of(om.full_mask & ~m) < om.rank\ndual_rank = 3\n'no dual is built'"
+    assert list(_dual_reads(ast.parse(ranks))) == []
+
+
+def test_pom_asks_rank_questions_only():
+    # pair kinds and activities are ranks from the stored circuit list; a
+    # dual costs an elimination and a circuit enumeration per instance
+    path = Path(omflow.__file__).parent / "pom.py"
+    lines = list(_dual_reads(ast.parse(path.read_text(), filename=str(path))))
+    assert lines == [], f"pom.py reads dual/cocircuits at lines {lines}"
