@@ -199,9 +199,6 @@ class Poly:
 
     # -- basics ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._nums
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -573,26 +570,6 @@ def homog_general(p: Poly, n: int, num_y: Poly, num_z: Poly, denom: Poly) -> Pol
     return Poly._of(p.vars + (aux,), terms, p.den).compose(p.vars, mapping)
 
 
-def homog_substitute(p: Poly, n: int, mode: str) -> Poly:
-    """Homogenized reparametrization of a polynomial in (…, y, z).
-
-    mode "shifted": numerators 1+y and 1+z;  mode "plain": numerators y and z.
-    The common denominator is 1+y+z, cleared by multiplying through with
-    (1+y+z)**n.
-    """
-    yz = ("y", "z")
-    y = Poly.variable(yz, "y")
-    z = Poly.variable(yz, "z")
-    one = Poly.const(yz, 1)
-    if mode == "shifted":
-        num_y, num_z = one + y, one + z
-    elif mode == "plain":
-        num_y, num_z = y, z
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return homog_general(p, n, num_y, num_z, one + y + z)
-
-
 # ---------------------------------------------------------------------------
 # exact matrices (tuples of tuples of Fractions)
 # ---------------------------------------------------------------------------
@@ -681,10 +658,6 @@ class F2Space:
     """Row-reduced GF(2) span of bitmask vectors."""
 
     basis: tuple  # ints in reduced echelon form, sorted by leading bit
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def contains(self, v: int) -> bool:
         for b in self.basis:

@@ -336,13 +336,14 @@ def cmd_verify(args) -> int:
         reports = _verify_instance(resolved, args.input, suites, args.budget, args.jobs)
     else:
         id_suites = [s for s in suites if s in SUITES]
+        named = not args.corpus_no_named
         if id_suites or "classes" in suites:
             for name, om, d in default_corpus(
                 args.corpus_max_vertices,
                 args.corpus_max_arcs,
                 args.corpus_doubled_vertices,
                 args.corpus_doubled_edges,
-                include_named=not args.corpus_no_named,
+                include_named=named,
             ):
                 if id_suites:
                     reports += run_suites(
@@ -352,7 +353,7 @@ def cmd_verify(args) -> int:
                 if "classes" in suites:
                     reports += verify_class_counts(om, name, budget=args.budget)
         if "pom" in suites:
-            for name, p in corpus_poms(args.corpus_pom_vertices, args.corpus_pom_edges):
+            for name, p in corpus_poms(args.corpus_pom_vertices, args.corpus_pom_edges, named):
                 reports += verify_pom(p, name, budget=args.budget, jobs=args.jobs)
 
     print(json_dumps_canonical([r.to_json_obj() for r in reports]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import F2Space, f2_enumerate, f2_span
 from .coflows import DEFAULT_BUDGET, even_char_pair
 from .errors import BudgetExceeded, InvariantViolated
-from .identities import _expect, _skip
+from .identities import _expect, _skip, _skips_over_budget
 from .matroid import OrientedMatroid, positive_union
 from .tutte import tutte
 
@@ -157,6 +157,7 @@ def omega_counts(
     return rc.count, rc.acyclic_count
 
 
+@_skips_over_budget("classes")
 def verify_class_counts(
     om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET
 ) -> list:
@@ -164,12 +165,8 @@ def verify_class_counts(
     suite = "classes"
     if om.tu_status != "true":
         return [_skip(suite, "all", name, "input is not totally unimodular")]
-    try:
-        geq, gt = omega_counts(om, budget)
-        rc_all = reorientation_classes(om, "all", budget)
-    except BudgetExceeded as exc:
-        return [_skip(suite, "all", name, str(exc))]
-
+    geq, gt = omega_counts(om, budget)
+    rc_all = reorientation_classes(om, "all", budget)
     t = tutte(om, budget)
     even = even_char_pair(om, budget=budget)
     out = [

@@ -261,15 +261,16 @@ def get_pom_fixture(name: str) -> PartialOrientedMatroid:
     return builder()
 
 
-def corpus_poms(max_vertices: int = 4, max_edges: int = 3):
+def corpus_poms(max_vertices: int = 4, max_edges: int = 3, include_named: bool = True):
     """Yield (name, pom) pairs: every multigraph class up to the caps as a
     fully unoriented instance plus a half-oriented variant, then the named
-    fixtures."""
+    fixtures unless `include_named` is False."""
     for i, (nv, edges) in enumerate(corpus_edge_multisets(max_vertices, max_edges)):
         yield f"pom-doubled-{nv}v-{len(edges)}e-{i}", doubled_pom(nv, edges)
         yield f"pom-mixed-{nv}v-{len(edges)}e-{i}", half_oriented_pom(nv, edges)
-    for name in pom_fixture_names():
-        yield name, get_pom_fixture(name)
+    if include_named:
+        for name in pom_fixture_names():
+            yield name, get_pom_fixture(name)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ substitutions, primal vs. dual) and demands exact equality.  Each check
 yields a :class:`CheckReport`; a suite is a list of them.
 
 Size policy: the partition-sum suites (expansions, reciprocity part one)
-walk 3^n partitions with a characteristic polynomial per minor, so they are
-restricted to n <= 8; every other suite runs on everything it is given.
+walk 3^n partitions, so they are capped: expansions at n <= 6, with a
+characteristic pair per reoriented minor, and reciprocity at n <= 8, which
+walks the parent's circuit lists and builds no minors.  Every other suite
+runs on everything it is given.
 Instances kept under tu_mode="assume" whose circuits do not certify them
 regular are skipped by default — for them the coflow machinery counts a different object, and the
 one check that belongs on such inputs is the negative control in the tutte
@@ -17,6 +19,7 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +28,6 @@ from operator import attrgetter
 from .algebra import (
     Poly,
     homog_general,
-    homog_substitute,
     json_dumps_canonical,
     poly_sum,
 )
@@ -98,11 +100,34 @@ def _expect(suite, check, name, got, want) -> CheckReport:
     return CheckReport(suite, check, name, "fail", detail=f"got {got}, want {want}")
 
 
+def _skips_over_budget(suite: str):
+    """Make a suite that exceeds the work budget report one `<suite>:all`
+    skip instead of aborting the run, so an instance too large at the given
+    budget (a rank-8 dual, say) neither passes nor fails."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def guarded(subject, name: str, *args, **kwargs) -> list:
+            try:
+                return fn(subject, name, *args, **kwargs)
+            except BudgetExceeded as e:
+                return [_skip(suite, "all", name, str(e))]
+        return guarded
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # suite: basic structural properties
 # ---------------------------------------------------------------------------
 
 
+# direct sums against two tiny reference summands
+_SUMMANDS = (
+    ("coloop", OrientedMatroid.from_digraph(Digraph.make(2, [(0, 1)], ["_c"]))),
+    ("digon", OrientedMatroid.from_digraph(Digraph.make(2, [(0, 1), (1, 0)], ["_d1", "_d2"]))),
+)
+
+
+@_skips_over_budget("basic")
 def verify_basic(
     om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
@@ -151,12 +176,7 @@ def verify_basic(
                 coloop_factor * a_poly(om.contract(1 << a), budget=budget, jobs=jobs),
             )
         )
-    # direct sums against two tiny reference summands
-    coloop = OrientedMatroid.from_digraph(Digraph.make(2, [(0, 1)], ["_c"]))
-    digon = OrientedMatroid.from_digraph(
-        Digraph.make(2, [(0, 1), (1, 0)], ["_d1", "_d2"])
-    )
-    for tag, other in (("coloop", coloop), ("digon", digon)):
+    for tag, other in _SUMMANDS:
         s = om.direct_sum(other)
         out.append(
             _cmp(
@@ -175,6 +195,7 @@ def verify_basic(
 # ---------------------------------------------------------------------------
 
 
+@_skips_over_budget("tutte")
 def verify_tutte_relations(
     om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
@@ -237,19 +258,7 @@ def verify_tutte_relations(
 # ---------------------------------------------------------------------------
 
 
-def _partitions(om: OrientedMatroid):
-    """Every pair (R, T) with T inside E minus R, as (M minus R, M/R, their
-    ranks, T in their indices, |E minus R minus T|, |T|).  The minors and
-    ranks are found once per R, and T runs through the subsets of E minus R
-    in decreasing order."""
-    for R in range(1 << om.n):
-        mdel, mcon = om.delete(R), om.contract(R)
-        ranks = (mdel.rank, mcon.rank)
-        for t in range(mdel.full_mask, -1, -1):
-            t_ct = t.bit_count()
-            yield mdel, mcon, ranks, t, mdel.n - t_ct, t_ct
-
-
+@_skips_over_budget("expansions")
 def verify_expansions(
     om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
@@ -261,16 +270,21 @@ def verify_expansions(
     out = []
     n, r = om.n, om.rank
 
-    # count the partitions per reoriented minor, by its memo key read off the
-    # masks, and monomial; each distinct reoriented minor is built once
+    # count the partitions (R, T), T in the minors' indices, per reoriented
+    # minor, by its memo key read off the masks, and monomial; each distinct
+    # reoriented minor is built once
     minors = {}  # key -> (minor, reorientation)
     tallies = ({}, {})  # deletions, contractions: (key, monomial) -> count
-    for mdel, mcon, (r_del, _), t, s_ct, t_ct in _partitions(om):
-        for tally, m, qk in ((tallies[0], mdel, r - r_del), (tallies[1], mcon, 0)):
-            key = m.reoriented_key(t)
-            minors.setdefault(key, (m, t))
-            item = (key, (qk, s_ct, t_ct))
-            tally[item] = tally.get(item, 0) + 1
+    for R in range(1 << n):
+        mdel, mcon = om.delete(R), om.contract(R)
+        qk = r - mdel.rank
+        for t in range(mdel.full_mask, -1, -1):
+            shift = (mdel.n - t.bit_count(), t.bit_count())
+            for tally, m, k in ((tallies[0], mdel, qk), (tallies[1], mcon, 0)):
+                key = m.reoriented_key(t)
+                minors.setdefault(key, (m, t))
+                item = (key, (k, *shift))
+                tally[item] = tally.get(item, 0) + 1
     pairs = {
         key: char_pair(m.reorient(t), budget=budget) for key, (m, t) in minors.items()
     }
@@ -284,9 +298,11 @@ def verify_expansions(
     qv, yv, zv = (Poly.variable(QYZ, v) for v in QYZ)
     rhs1 = p.compose(QYZ, {"q": qv, "y": 1 + yv, "z": 1 + zv})
     out.append(_cmp(suite, "deletion-strict", name, lhs1, rhs1))
-    out.append(_cmp(suite, "deletion-weak", name, lhs2, homog_substitute(p, n, "shifted")))
+    rhs2 = homog_general(p, n, 1 + yv, 1 + zv, 1 + yv + zv)
+    out.append(_cmp(suite, "deletion-weak", name, lhs2, rhs2))
     out.append(_cmp(suite, "contraction-strict", name, lhs3, p))
-    out.append(_cmp(suite, "contraction-weak", name, lhs4, homog_substitute(p, n, "plain")))
+    rhs4 = homog_general(p, n, yv, zv, 1 + yv + zv)
+    out.append(_cmp(suite, "contraction-weak", name, lhs4, rhs4))
 
     # reorientation generating functions (alpha tracks reoriented elements)
     qa = ("q", "a")
@@ -310,6 +326,7 @@ def verify_expansions(
 # ---------------------------------------------------------------------------
 
 
+@_skips_over_budget("reciprocity")
 def verify_reciprocity(
     om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
@@ -323,29 +340,44 @@ def verify_reciprocity(
     p_at_m1 = p.subs_scalar("q", -1)  # bivariate in (y, z)
 
     if n <= PARTITION_SIZE_CAP:
+        # For each R, M minus R and M/R are read as circuit lists in the
+        # parent's indices, and T runs over the subsets of E minus R.  M minus
+        # R keeps the circuits that avoid R.  The circuits of M/R are the
+        # minimal nonempty C - R, and every C - R is a conformal composition
+        # of them, so the positive C - R cover what the positive circuits of
+        # M/R cover: no minor is built.
         accs = [{}, {}, {}, {}]
-        for mdel, mcon, (r_del, r_con), t, s_ct, t_ct in _partitions(om):
-            st = (s_ct, t_ct)
-            u = positive_union(mdel.circuits, t)
-            if not u:
-                accs[0][st] = accs[0].get(st, 0) + 1
-            if u == mdel.full_mask:
-                accs[1][st] = accs[1].get(st, 0) + (-1) ** r_del
-            u = positive_union(mcon.circuits, t)
-            if not u:
-                accs[2][st] = accs[2].get(st, 0) + (-1) ** r_con
-            if u == mcon.full_mask:
-                accs[3][st] = accs[3].get(st, 0) + 1
+        for R in range(1 << n):
+            rest = om.full_mask & ~R
+            deleted = [c for c in om.circuits if not c.support & R]
+            contracted = [c.drop(R) for c in om.circuits]
+            r_del, r_con = om.rank_of(rest), r - om.rank_of(R)
+            t = rest
+            while True:
+                st = ((rest & ~t).bit_count(), t.bit_count())
+                u = positive_union(deleted, t)
+                if not u:
+                    accs[0][st] = accs[0].get(st, 0) + 1
+                if u == rest:
+                    accs[1][st] = accs[1].get(st, 0) + (-1) ** r_del
+                u = positive_union(contracted, t)
+                if not u:
+                    accs[2][st] = accs[2].get(st, 0) + (-1) ** r_con
+                if u == rest:
+                    accs[3][st] = accs[3].get(st, 0) + 1
+                if not t:
+                    break
+                t = (t - 1) & rest
         acy_del, tc_del, acy_con, tc_con = (
             Poly(YZ, {e: c for e, c in d.items() if c}) for d in accs
         )
         yb, zb = Poly.variable(YZ, "y"), Poly.variable(YZ, "z")
         rhs12 = sign_r * p_at_m1.compose(YZ, {"y": 1 + yb, "z": 1 + zb})
         out.append(_cmp(suite, "acyclic-deletions", name, acy_del, rhs12))
-        rhs22 = sign_r * homog_substitute(p_at_m1, n, "shifted")
+        rhs22 = sign_r * homog_general(p_at_m1, n, 1 + yb, 1 + zb, 1 + yb + zb)
         out.append(_cmp(suite, "totally-cyclic-deletions", name, tc_del, rhs22))
         out.append(_cmp(suite, "acyclic-contractions", name, acy_con, p_at_m1))
-        rhs42 = homog_substitute(p_at_m1, n, "plain")
+        rhs42 = homog_general(p_at_m1, n, yb, zb, 1 + yb + zb)
         out.append(_cmp(suite, "totally-cyclic-contractions", name, tc_con, rhs42))
     else:
         out.append(_skip(suite, "partition-sums", name, f"n={n} exceeds partition cap"))
@@ -431,6 +463,7 @@ def _duality_points(n: int):
     return pts
 
 
+@_skips_over_budget("duality")
 def verify_duality(
     om: OrientedMatroid,
     name: str,
@@ -506,6 +539,7 @@ def verify_duality(
 # ---------------------------------------------------------------------------
 
 
+@_skips_over_budget("recurrences")
 def verify_recurrences(
     om: OrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
@@ -531,11 +565,11 @@ def verify_recurrences(
             ) * a_poly(om.contract(am), budget=budget, jobs=jobs)
             out.append(_cmp(suite, f"flip-average-{lab}", name, lhs, rhs))
 
-    cocirc_supports = {d.support for d in om.cocircuits()}
     for i, j in om.opposite_pairs():
         em = 1 << i | 1 << j
         lab = f"{om.labels[i]}+{om.labels[j]}"
-        if em in cocirc_supports:
+        # an opposite pair is a cocircuit when deleting it drops the rank
+        if om.rank_of(om.full_mask & ~em) < om.rank:
             rhs = (1 + (qv - 1) * yv * zv) * a_poly(
                 om.contract(em), budget=budget, jobs=jobs
             )
@@ -566,20 +600,12 @@ def run_suites(
     jobs: int = 1,
     digraph: Digraph = None,
 ) -> list:
-    """Run the named check suites (all six by default) on one instance.
-
-    A suite that exceeds the work budget contributes a skip report instead
-    of aborting the run; instances too large at the given budget (rank-8
-    duals, say) then neither pass nor fail.
-    """
+    """Run the named check suites (all six by default) on one instance."""
     out = []
     for s in suites or SUITES:
         fn = SUITES[s]
-        try:
-            if fn is verify_duality:
-                out.extend(fn(om, name, budget=budget, jobs=jobs, digraph=digraph))
-            else:
-                out.extend(fn(om, name, budget=budget, jobs=jobs))
-        except BudgetExceeded as e:
-            out.append(_skip(s, "all", name, str(e)))
+        if fn is verify_duality:
+            out.extend(fn(om, name, budget=budget, jobs=jobs, digraph=digraph))
+        else:
+            out.extend(fn(om, name, budget=budget, jobs=jobs))
     return out

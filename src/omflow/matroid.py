@@ -315,9 +315,6 @@ class OrientedMatroid:
                 out.append((i, j))
         return out
 
-    def label_mask(self, names) -> int:
-        return mask_of(self.labels.index(x) for x in names)
-
     def canonical_key(self) -> tuple:
         return (self.n, tuple((c.pos, c.neg) for c in self.circuits))
 

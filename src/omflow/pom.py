@@ -29,19 +29,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Poly, poly_div_linear_power, poly_sum
-from .coflows import DEFAULT_BUDGET, QYZ, a_poly, char_pair
+from .coflows import DEFAULT_BUDGET, QYZ, _memoized, a_poly, char_pair
 from .errors import BudgetExceeded, InvalidPartition, NonPolynomialResult
-from .identities import _expect, _skip
+from .identities import _expect, _skip, _skips_over_budget
 from .matroid import OrientedMatroid, bits_of, mask_of
 from .tutte import tutte
 
 XY = ("x", "y")
 POM_PAIR_CAP = 6
 
-# The invariants below repeatedly need the coflow polynomial of the same
-# minors (complete orientations recur across t2, the recurrence and the
-# activity expansion).  a_poly and char_pair remember their results per
-# signed circuit set, so every repeat after the first is a memo hit.
+# The invariants below repeatedly need the same fully oriented minors
+# (complete orientations recur across t2, the recurrence and the activity
+# expansion).  a_poly, char_pair and `_oriented_t` remember their results
+# per signed circuit set, so every repeat after the first is a memo hit.
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,11 @@ def t2(
     return _assemble(pa, p.num_blocks, p.om.rank, mode=2)
 
 
-_T = {1: t1, 2: t2}  # the invariant each mode names
+@_memoized
+def _oriented_t(om: OrientedMatroid, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> tuple:
+    """(t1, t2) of `om` with every element an oriented block."""
+    pa = a_poly(om, budget=budget, jobs=jobs)
+    return _assemble(pa, om.n, om.rank, 1), _assemble(pa, om.n, om.rank, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,7 @@ def t_by_recurrence(
     """
     pairs = p.pairs
     if not pairs:
-        return _T[mode](p, budget=budget, jobs=jobs)
+        return _oriented_t(p.om, budget=budget, jobs=jobs)[mode - 1]
     order = order or ()
     j = next((x for x in order if x in pairs), pairs[0])
     rest = [x - (1 if x > j else 0) for x in order if x != j]
@@ -312,7 +316,7 @@ def _oriented_minor(p: PartialOrientedMatroid, contracted, mode, budget, jobs) -
     in `contracted` and deletes the other unoriented blocks."""
     deleted = [j for j in p.pairs if j not in contracted]
     minor = pom_minor(p, delete=deleted, contract=contracted)
-    return _T[mode](minor, budget=budget, jobs=jobs)
+    return _oriented_t(minor.om, budget=budget, jobs=jobs)[mode - 1]
 
 
 def potential_bases(p: PartialOrientedMatroid) -> list:
@@ -394,6 +398,7 @@ def tutte_subgraph(
 # ---------------------------------------------------------------------------
 
 
+@_skips_over_budget("pom")
 def verify_pom(
     p: PartialOrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> list:
@@ -412,7 +417,7 @@ def verify_pom(
         why = f"{len(p.pairs)} unoriented elements exceed cap {POM_PAIR_CAP}"
         return [_skip(suite, "all", name, why)]
 
-    reference = {mode: fn(p, budget=budget, jobs=jobs) for mode, fn in _T.items()}
+    reference = {1: t1(p, budget=budget, jobs=jobs), 2: t2(p, budget=budget, jobs=jobs)}
     out = [
         _expect(suite, "t1-subset-expansion", name, t1_by_subsets(p, budget), reference[1]),
         _expect(suite, "t2-subset-expansion", name, t2_by_subsets(p, budget), reference[2]),
@@ -436,7 +441,7 @@ def verify_pom(
         want = tutte(p.om.delete(mask_of(p.blocks[j][1] for j in p.pairs)), budget)
         out.append(_expect(suite, "t1-matches-tutte", name, reference[1], want))
         out.append(_expect(suite, "t2-matches-tutte", name, reference[2], want))
-    out.extend(pom_evaluations(p, name, budget=budget, jobs=jobs))
+    out.extend(pom_evaluations(p, name, reference[1], reference[2], budget=budget))
     return out
 
 
@@ -446,12 +451,10 @@ def verify_pom(
 
 
 def pom_evaluations(
-    p: PartialOrientedMatroid, name: str, budget: int = DEFAULT_BUDGET, jobs: int = 1
+    p: PartialOrientedMatroid, name: str, v1: Poly, v2: Poly, budget: int = DEFAULT_BUDGET
 ) -> list:
-    """Check the point evaluations of t1/t2 against direct enumerations."""
+    """Check the point evaluations of v1 = t1(p), v2 = t2(p) against direct enumerations."""
     suite = "pom"
-    v1 = t1(p, budget=budget, jobs=jobs)
-    v2 = t2(p, budget=budget, jobs=jobs)
     orientations = complete_orientations(p, budget=budget)
     acyclic = 0
     totally_cyclic = 0

@@ -14,7 +14,7 @@ import pytest
 from omflow import cocycles
 from omflow.cli import build_parser, main, parse_at
 from omflow.coflows import a_poly, clear_caches
-from omflow.fixtures import U24_ROWS, get_fixture
+from omflow.fixtures import U24_ROWS, get_fixture, pom_fixture_names
 
 U24_TUTTE_JSON = {
     "terms": [
@@ -175,6 +175,51 @@ def test_verify_small_corpus(capsys):
     assert code == 0
     assert len(reports) > 100
     assert all(r["status"] != "fail" for r in reports)
+
+
+FIVE_CYCLE = {"vertices": 5, "arcs": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
+
+
+@pytest.mark.parametrize(
+    "suite,instance,budget",
+    [("classes", "five-cycle", "1000"), ("pom", "P2", "10")],
+)
+def test_verify_reports_a_budget_trip_as_one_skip(tmp_path, capsys, suite, instance, budget):
+    if instance == "five-cycle":
+        instance = tmp_path / "five-cycle.json"
+        instance.write_text(json.dumps(FIVE_CYCLE))
+    clear_caches()  # a memo hit enumerates nothing, so it trips no budget
+    code, out = run_cli(
+        capsys, "verify", "--suite", suite, "--input", str(instance), "--budget", budget
+    )
+    assert code == 0
+    [report] = json.loads(out)
+    assert (report["suite"], report["check"], report["status"]) == (suite, "all", "skip")
+    assert report["detail"].startswith("enumeration needs about")
+
+
+def test_verify_budget_trip_keeps_the_other_suites(tmp_path, capsys):
+    f = tmp_path / "five-cycle.json"
+    f.write_text(json.dumps(FIVE_CYCLE))
+    clear_caches()
+    code, out = run_cli(capsys, "verify", "--input", str(f), "--budget", "1000")
+    reports = json.loads(out)
+    assert code == 0
+    assert all(r["status"] != "fail" for r in reports)
+    assert {r["suite"] for r in reports} == {
+        "basic", "tutte", "expansions", "reciprocity", "duality", "recurrences",
+        "pom", "classes",
+    }
+
+
+def test_verify_corpus_no_named_leaves_out_named_poms(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--suite", "pom",
+        "--corpus-pom-vertices", "2", "--corpus-pom-edges", "1", "--corpus-no-named",
+    )
+    names = {r["instance"] for r in json.loads(out)}
+    assert code == 0
+    assert names and not names & set(pom_fixture_names())
 
 
 def test_verify_identity_suite_rejects_pom_input(capsys):

@@ -1,6 +1,7 @@
 """The identity suites on a spread of small instances, plus frozen values
 for the two reciprocity specializations on the three-vertex example."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from omflow.identities import (
     CheckReport,
     _cmp,
     _expect,
-    _partitions,
     run_suites,
     verify_duality,
     verify_tutte_relations,
@@ -169,9 +169,27 @@ def test_reoriented_keys_from_masks():
         if om.n <= EXPANSION_SIZE_CAP:
             small.setdefault(om.canonical_key(), (name, om))
     for name, om in small.values():
-        for mdel, mcon, _, t, _, _ in _partitions(om):
-            for m in (mdel, mcon):
+        for R in range(1 << om.n):
+            mdel, mcon = om.delete(R), om.contract(R)
+            for t, m in itertools.product(range(mdel.full_mask + 1), (mdel, mcon)):
                 flipped = sorted((c.reorient(t).canonical() for c in m.circuits),
                                  key=lambda c: (c.support, c.pos))
                 want = (m.n, tuple((c.pos, c.neg) for c in flipped))
                 assert m.reoriented_key(t) == m.reorient(t).canonical_key() == want, name
+
+
+def test_pair_cocircuit_rule_matches_the_cocircuits():
+    # verify_recurrences calls an opposite pair a cocircuit when deleting it
+    # drops the rank; the dual's circuits must say the same on every pair
+    pairs = 0
+    for name, om, _ in default_corpus():
+        opposite = om.opposite_pairs()
+        if not opposite:
+            continue
+        cocircuits = {d.support for d in om.cocircuits()}
+        for i, j in opposite:
+            em = 1 << i | 1 << j
+            by_rank = om.rank_of(om.full_mask & ~em) < om.rank
+            assert by_rank == (em in cocircuits), (name, i, j)
+            pairs += 1
+    assert pairs > 500

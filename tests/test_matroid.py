@@ -239,14 +239,14 @@ class TestDual:
 class TestMinor:
     def test_triangle_contract(self):
         m = triangle()
-        got = m.contract(m.label_mask(["a"]))
+        got = m.contract(mask_of([0]))
         assert got.labels == ("b", "c")
         assert got.circuits == (SignedSubset(0b11, 0),)
         assert got.rank == 1
 
     def test_triangle_delete(self):
         m = triangle()
-        got = m.delete(m.label_mask(["a"]))
+        got = m.delete(mask_of([0]))
         assert got.circuits == ()
         assert got.rank == 2
 

@@ -204,7 +204,7 @@ def test_zero_budget_reaches_complete_orientations():
     with pytest.raises(BudgetExceeded):
         t2_by_subsets(p2, budget=0)
     with pytest.raises(BudgetExceeded):
-        pom_evaluations(p2, "P2", budget=0)
+        pom_evaluations(p2, "P2", t1(p2), t2(p2), budget=0)
 
 
 def test_pom_minor_reindexes_blocks():
@@ -271,7 +271,7 @@ def test_fully_oriented_pom_counts_itself():
 
 def test_evaluations_pass_on_mixed_figure():
     p = get_pom_fixture("fig-partially-oriented")
-    reports = pom_evaluations(p, "fig-partially-oriented")
+    reports = pom_evaluations(p, "fig-partially-oriented", t1(p), t2(p))
     assert reports and all(r.status == "pass" for r in reports)
 
 

@@ -190,9 +190,9 @@ def test_benchmark_names_exist():
     assert missing == []
 
 
-def _dual_reads(tree):
-    """Lines that name `dual` or `cocircuits` as a function or attribute, so
-    a bound method passed around is caught as well as a call."""
+def _reads(tree, names):
+    """Lines that name one of `names` as a function or attribute, so a bound
+    method passed around is caught as well as a call."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             name = node.attr
@@ -200,8 +200,39 @@ def _dual_reads(tree):
             name = node.id
         else:
             continue
-        if name in ("dual", "cocircuits"):
+        if name in names:
             yield node.lineno
+
+
+def _dual_reads(tree):
+    """Lines that name `dual` or `cocircuits`."""
+    return _reads(tree, ("dual", "cocircuits"))
+
+
+def _minor_builds(tree):
+    """Lines that name `delete`, `contract` or `minor`."""
+    return _reads(tree, ("delete", "contract", "minor"))
+
+
+def _function(tree, name):
+    """The top-level function `name` of a module tree."""
+    [fn] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return fn
+
+
+def _partition_walks(fn):
+    """The loops `for R in ...` of a function: its walks over the deleted or
+    contracted set R."""
+    return [
+        node for node in ast.walk(fn)
+        if isinstance(node, ast.For) and getattr(node.target, "id", None) == "R"
+    ]
+
+
+IDENTITIES = Path(omflow.__file__).parent / "identities.py"
 
 
 def test_dual_check_flags_dual_reads():
@@ -224,3 +255,52 @@ def test_pom_asks_rank_questions_only():
     path = Path(omflow.__file__).parent / "pom.py"
     lines = list(_dual_reads(ast.parse(path.read_text(), filename=str(path))))
     assert lines == [], f"pom.py reads dual/cocircuits at lines {lines}"
+
+
+def test_minor_check_flags_minor_builds():
+    flagged = [
+        "om.delete(R)",
+        "om.contract(1 << a)",
+        "om.minor(delete=d, contract=c)",
+        "f = om.contract\nf(R)",
+    ]
+    for text in flagged:
+        assert list(_minor_builds(ast.parse(text))), text
+    reads = "[c.drop(R) for c in om.circuits]\nom.rank_of(rest)\n'no minor is built'"
+    assert list(_minor_builds(ast.parse(reads))) == []
+
+
+def test_function_scoped_checks_flag_their_function():
+    text = (
+        "def verify_reciprocity(om):\n"
+        "    for R in range(1 << om.n):\n"
+        "        m = om.contract(R)\n"
+        "    om.contract(flat)\n"
+        "def verify_recurrences(om):\n"
+        "    supports = {d.support for d in om.cocircuits()}\n"
+        "def other(om):\n"
+        "    om.dual()\n"
+    )
+    tree = ast.parse(text)
+    [walk] = _partition_walks(_function(tree, "verify_reciprocity"))
+    assert list(_minor_builds(walk)) == [3]
+    assert list(_dual_reads(_function(tree, "verify_recurrences"))) == [6]
+    with pytest.raises(ValueError):
+        _function(tree, "verify_duality")
+
+
+def test_reciprocity_partition_sums_build_no_minors():
+    # the partition sums read M minus R and M/R as the parent's circuit
+    # lists; the cyclic-flat expansion after them contracts each cyclic flat
+    fn = _function(ast.parse(IDENTITIES.read_text()), "verify_reciprocity")
+    walks = _partition_walks(fn)
+    assert walks, "verify_reciprocity walks no R"
+    lines = [line for walk in walks for line in _minor_builds(walk)]
+    assert lines == [], f"verify_reciprocity builds minors at lines {lines}"
+
+
+def test_recurrences_read_no_dual():
+    # an opposite pair is a cocircuit when deleting it drops the rank
+    fn = _function(ast.parse(IDENTITIES.read_text()), "verify_recurrences")
+    lines = list(_dual_reads(fn))
+    assert lines == [], f"verify_recurrences reads dual/cocircuits at lines {lines}"
