@@ -23,31 +23,22 @@ scalar, a variable, a monomial) only scales and shifts each term; the terms
 are grouped by the exponents of the other images, and each group is
 multiplied by the product of those images' powers.
 
-Two caches, both bounded by a constant, survive across calls:
-
-* `_PRODUCTS` holds the powers, and the products of powers, of the integer
-  numerators of the images that `compose` has been given.  The same few
-  images (1 + y, y - 1, 1 + y + z, ...) recur for every instance, so most
-  groups find their product there.  It forgets its oldest entry first once
-  it holds `PRODUCT_CACHE_SIZE`.
-* `_lagrange_rows` (an `lru_cache`) holds the Lagrange coefficient rows of
-  each interpolation node tuple as integers over one common denominator.
+`_PRODUCTS` holds the powers, and the products of powers, of the integer
+numerators of the images that `compose` has been given.  The same few images
+(1 + y, y - 1, 1 + y + z, ...) recur for every instance, so most groups find
+their product there.  It is bounded by a constant: it forgets its oldest
+entry first once it holds `PRODUCT_CACHE_SIZE`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
-from .errors import (
-    DegreeExceedsHomogenizer,
-    DuplicateNode,
-    NonPolynomialResult,
-)
+from .errors import DegreeExceedsHomogenizer, NonPolynomialResult
 
 def as_frac(x) -> Fraction:
     """Coerce ints, Fractions, and strings like '-3/7' to Fraction."""
@@ -479,64 +470,41 @@ def poly_div_linear_power(p: Poly, name: str, root, k: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _lagrange_rows(xs: tuple) -> tuple:
-    """(cols, den) for distinct rational nodes `xs`: the Lagrange basis
-    polynomial of node i has cols[k][i] / den as its coefficient of x^k.
+def interpolate_columns(nodes: range, columns) -> tuple:
+    """Exact interpolation of integer value columns over a progression.
 
-    With s the lcm of the nodes' denominators, x_i = p_i / s for integers
-    p_i, and basis polynomial i is prod_{j != i} (s*x - p_j) / (p_i - p_j),
-    whose coefficient of x^k is s^k times an integer over an integer.
+    `nodes` is a, a+s, ..., a+r*s with s > 0, and each column lists the
+    integer values there, in order.  Returns (cols, den): per column,
+    ``{degree: integer numerator}`` (zeros omitted) of the unique polynomial
+    of degree at most r through those values, every coefficient being its
+    numerator over den = s^r r!.
+
+    In Newton's forward form the polynomial is the sum of d_k C((q-a)/s, k)
+    over the integer differences d_k of the column; times den, Horner's
+    rule expands it in integers: T_r = d_r, T_k = d_k s^(r-k) r!/k! +
+    (q - a - k*s) T_(k+1), and T_0 is the column's numerators.
     """
-    s = _lcm_den(xs)
-    ps = [x.numerator * (s // x.denominator) for x in xs]
-    rows, dens = [], []
-    for i, pi in enumerate(ps):
-        # coefficients of prod_{j != i} (X - p_j), lowest first
-        row, d = [1], 1
-        for j, pj in enumerate(ps):
-            if j != i:
-                row = [a - pj * b for a, b in zip([0] + row, row + [0])]
-                d *= pi - pj
-        rows.append(row)
-        dens.append(d)
-    den = math.lcm(*dens)
-    cols = tuple(
-        tuple(s**k * row[k] * (den // d) for row, d in zip(rows, dens))
-        for k in range(len(xs))
-    )
-    return cols, den
+    a, s, r = nodes.start, nodes.step, len(nodes) - 1
+    scale = [s ** (r - k) * math.factorial(r) // math.factorial(k) for k in range(r + 1)]
+    out = []
+    for values in columns:
+        ys, diffs = list(values), []
+        while ys:
+            diffs.append(ys[0])
+            ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
+        t = [diffs[r]]
+        for k in range(r - 1, -1, -1):
+            b = a + k * s
+            t = [x - b * y for x, y in zip([0] + t, t + [0])]
+            t[0] += scale[k] * diffs[k]
+        out.append({k: c for k, c in enumerate(t) if c})
+    return out, s**r * math.factorial(r)
 
 
-def interpolate_columns(nodes, columns) -> tuple:
-    """Exact interpolation of several value columns over one node tuple.
-
-    Each column lists the values at `nodes`, in order.  Returns (cols, den):
-    per column, ``{degree: integer numerator}`` (zeros omitted) of the
-    unique polynomial of degree below ``len(nodes)`` through those values,
-    every coefficient being its numerator over the one common denominator
-    `den`.  The Lagrange rows are integers over one common denominator,
-    cached per node tuple, and the values are scaled to integers by the lcm
-    of their denominators, so a column costs integer multiply-adds only.
-    """
-    xs = tuple(x if type(x) is int else as_frac(x) for x in nodes)
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation nodes among {list(map(as_frac, xs))}")
-    rows, den = _lagrange_rows(xs)
-    columns = [list(values) for values in columns]
-    if any(type(y) is not int for values in columns for y in values):
-        fracs = [[as_frac(y) for y in values] for values in columns]
-        m = math.lcm(*(y.denominator for values in fracs for y in values))
-        columns = [[y.numerator * (m // y.denominator) for y in values] for values in fracs]
-        den *= m
-    sums = [[sum(map(mul, ys, row)) for row in rows] for ys in columns]
-    return [{k: c for k, c in enumerate(col) if c} for col in sums], den
-
-
-def interpolate(points, var: str = "q") -> Poly:
-    """Exact Lagrange interpolation through (x, y) pairs of rationals."""
-    pts = [(as_frac(x), as_frac(y)) for x, y in points]
-    (coeffs,), den = interpolate_columns([x for x, _ in pts], [[y for _, y in pts]])
+def interpolate(nodes: range, values, var: str = "q") -> Poly:
+    """The polynomial in `var` through integer `values` at the progression
+    `nodes`: `interpolate_columns` on one column."""
+    (coeffs,), den = interpolate_columns(nodes, [values])
     return Poly._of((var,), {(k,): c for k, c in coeffs.items()}, den)
 
 

@@ -254,14 +254,16 @@ def _incidence(d: Digraph) -> np.ndarray:
 
 
 def _interpolated(vars, nodes, count_at, spares: dict, what: str) -> Poly:
-    """The polynomial over `vars` (q first) through counts at integer nodes.
+    """The polynomial over `vars` (q first) through counts at the nodes, a
+    `range` of integers.
 
     `count_at(q)` maps monomials in the remaining variables to counts; each
     monomial's coefficient is interpolated in q over `nodes`.  `spares` maps
-    spare nodes to counts found independently, which the result must
-    reproduce exactly, or the degree assumption was wrong.  Callers count the
-    spares first: they are the most expensive enumerations, so a budget trip
-    costs nothing instead of all the cheaper nodes.
+    spare nodes, each the next point of the progression, to counts found
+    independently, which the result must reproduce exactly, or the degree
+    assumption was wrong.  Callers count the spares first: they are the most
+    expensive enumerations, so a budget trip costs nothing instead of all
+    the cheaper nodes.
     """
     evals = [count_at(q) for q in nodes]
     monos = sorted({e for ev in evals for e in ev})
@@ -355,7 +357,7 @@ def a_poly(
         return a_eval(om, q, budget=budget, jobs=jobs).numerators()
 
     return _interpolated(
-        QYZ, [2 * k + 1 for k in range(r + 1)], stats, {2 * r + 3: stats(2 * r + 3)},
+        QYZ, range(1, 2 * r + 2, 2), stats, {2 * r + 3: stats(2 * r + 3)},
         "interpolated polynomial disagrees",
     )
 
@@ -376,7 +378,7 @@ def char_pair(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> CharPair:
     """
     bcols, ext, filt = extension_matrix(om)
     r = len(bcols)
-    nodes = [2 * k + 1 for k in range(r + 1)]
+    nodes = range(1, 2 * r + 2, 2)
     spare = 2 * r + 3
     stats = a_eval(om, spare, budget=budget)
     # strict coflows have every value on the positive side; weak ones have
@@ -454,7 +456,7 @@ def even_char_pair(om: OrientedMatroid, budget: int = DEFAULT_BUDGET) -> CharPai
     """
     bcols, ext, filt = extension_matrix(om)
     r = len(bcols)
-    nodes = [2 * k + 2 for k in range(r + 1)]
+    nodes = range(2, 2 * r + 3, 2)
     spare = 2 * r + 4
 
     def open_count(q):
@@ -510,7 +512,7 @@ def a_even_poly(
         return coflow_histogram(om, q, budget=budget, jobs=jobs).as_dict()
 
     even = _interpolated(
-        QYZW, [2 * k + 2 for k in range(r + 1)], hist, {2 * r + 4: hist(2 * r + 4)},
+        QYZW, range(2, 2 * r + 3, 2), hist, {2 * r + 4: hist(2 * r + 4)},
         "even statistics disagree",
     )
     return EvenAPoly(odd=odd, even=even)
@@ -570,7 +572,7 @@ def b_poly(d: Digraph, budget: int = DEFAULT_BUDGET) -> Poly:
         return _decode(_tally(codes, (n + 1,) * 2))
 
     return _interpolated(
-        QYZ, list(range(1, nv + 2)), stats_at,
+        QYZ, range(1, nv + 2), stats_at,
         {q: stats_at(q) for q in (nv + 2, nv + 3)},
         "coloring statistics disagree",
     )

@@ -5,10 +5,6 @@ class OmflowError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DuplicateNode(OmflowError):
-    """Interpolation received two nodes with the same abscissa."""
-
-
 class DegreeExceedsHomogenizer(OmflowError):
     """A polynomial's (y,z)-degree exceeds the homogenization bound n."""
 

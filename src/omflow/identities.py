@@ -9,12 +9,17 @@ yields a :class:`CheckReport`; a suite is a list of them.
 Size policy: the partition-sum suites (expansions, reciprocity part one)
 walk 3^n partitions, so they are capped: expansions at n <= 6, with a
 characteristic pair per reoriented minor, and reciprocity at n <= 8, which
-walks the parent's circuit lists and builds no minors.  Every other suite
-runs on everything it is given.
+walks the parent's circuit lists and builds no minors.  Two tutte checks are
+capped too: the reorientation average interpolates 2^n reorientations, so it
+stops at n <= `AVERAGE_SIZE_CAP` (8), and the doubling check needs the
+doubled ground within the circuit enumeration, 2n <= `CIRCUIT_GROUND_CAP`.
+No other check has a size cap; a suite that would exceed the budget reports
+one skip instead.
+
 Instances kept under tu_mode="assume" whose circuits do not certify them
-regular are skipped by default — for them the coflow machinery counts a different object, and the
-one check that belongs on such inputs is the negative control in the tutte
-suite.
+regular are skipped by default — for them the coflow machinery counts a
+different object, and the one check that belongs on such inputs is the
+negative control in the tutte suite.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ QYZ = ("q", "y", "z")
 YZ = ("y", "z")
 
 EXPANSION_SIZE_CAP = 6  # 3^n partitions, a characteristic pair per minor
-PARTITION_SIZE_CAP = 8  # 3^n partitions, only an acyclicity test per minor
+PARTITION_SIZE_CAP = 8  # 3^n partitions, an acyclicity test of each on the parent's circuits
 AVERAGE_SIZE_CAP = 8  # 2^n reorientations, one interpolation each
 
 

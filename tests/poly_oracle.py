@@ -1,5 +1,7 @@
 """The int/Fraction `Poly` that integer numerators over one denominator
-replaced, kept verbatim as an oracle for tests/test_algebra.py.
+replaced, kept verbatim as an oracle for tests/test_algebra.py; only its
+repeated-node error is now a `ValueError`, since the package's own
+interpolation takes a `range` and has no such error.
 
 A coefficient is stored as an `int` when it is integral and as a
 `fractions.Fraction` otherwise; `compose` scales each group of terms by the
@@ -14,7 +16,7 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from omflow.errors import DuplicateNode, NonPolynomialResult
+from omflow.errors import NonPolynomialResult
 
 def as_frac(x) -> Fraction:
     """Coerce ints, Fractions, and strings like '-3/7' to Fraction."""
@@ -462,7 +464,7 @@ def interpolate_columns(nodes, columns) -> list:
     """
     xs = tuple(as_frac(x) for x in nodes)
     if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation nodes among {list(xs)}")
+        raise ValueError(f"repeated interpolation nodes among {list(xs)}")
     cols, den = _lagrange_rows(xs)
     out = []
     for values in columns:

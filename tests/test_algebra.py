@@ -23,11 +23,7 @@ from omflow.algebra import (
     poly_div_linear_power,
     poly_sum,
 )
-from omflow.errors import (
-    DegreeExceedsHomogenizer,
-    DuplicateNode,
-    NonPolynomialResult,
-)
+from omflow.errors import DegreeExceedsHomogenizer, NonPolynomialResult
 from omflow.identities import _dual_at_cube_root, _duality_points, _mul_at_cube_root
 
 import poly_oracle
@@ -182,7 +178,7 @@ def oracle_interpolate_columns(nodes, columns) -> list:
     """
     xs = [as_frac(x) for x in nodes]
     if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"repeated interpolation nodes among {xs}")
+        raise ValueError(f"repeated interpolation nodes among {xs}")
     rows = []
     for xi in xs:
         # coefficients of prod_{j != i} (x - x_j) / (x_i - x_j), lowest first
@@ -373,6 +369,25 @@ OldPoly = poly_oracle.Poly
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
+def progressions(min_columns=0, max_columns=4):
+    """(nodes, columns): a range a, a+s, ..., a+r*s with a in -6..6, s in
+    1..3 and 1..7 points, and `min_columns` to `max_columns` integer columns
+    over it."""
+    nodes = st.builds(
+        lambda a, s, n: range(a, a + n * s, s),
+        st.integers(-6, 6), st.integers(1, 3), st.integers(1, 7),
+    )
+    return nodes.flatmap(
+        lambda xs: st.tuples(
+            st.just(xs),
+            st.lists(
+                st.lists(st.integers(-50, 50), min_size=len(xs), max_size=len(xs)),
+                min_size=min_columns, max_size=max_columns,
+            ),
+        )
+    )
+
+
 def term_dicts(nvars=2, lo=0, hi=3, max_size=6):
     exps = st.tuples(*[st.integers(lo, hi)] * nvars)
     return st.dictionaries(exps, coefficients, max_size=max_size)
@@ -458,11 +473,11 @@ class TestAgainstParentPoly:
         else:
             same(poly_div_linear(new, "x", root), want)
 
-    @given(st.lists(st.tuples(st.integers(-6, 6), coefficients), min_size=1, max_size=6,
-                    unique_by=lambda pt: pt[0]))
+    @given(progressions(1, 1))
     @settings(max_examples=60, deadline=None)
-    def test_interpolate(self, pts):
-        same(interpolate(pts, var="x"), poly_oracle.interpolate(pts, var="x"))
+    def test_interpolate(self, case):
+        xs, (ys,) = case
+        same(interpolate(xs, ys, var="x"), poly_oracle.interpolate(zip(xs, ys), var="x"))
 
     @given(term_dicts(3))
     @settings(max_examples=100, deadline=None)
@@ -539,38 +554,25 @@ class TestDivision:
 class TestInterpolate:
     def test_halved_line(self):
         # values (q-1)/2 at odd nodes
-        p = interpolate([(1, 0), (3, 1), (5, 2)])
+        p = interpolate(range(1, 6, 2), [0, 1, 2])
         q = Poly.variable(("q",), "q")
         assert p == (q - 1) * Q(1, 2)
 
     def test_square(self):
-        p = interpolate([(1, 1), (3, 9), (5, 25)])
+        p = interpolate(range(1, 6, 2), [1, 9, 25])
         q = Poly.variable(("q",), "q")
         assert p == q * q
 
-    def test_duplicate_node(self):
-        with pytest.raises(DuplicateNode):
-            interpolate([(1, 1), (1, 2)])
-
-    @given(st.lists(st.fractions(), min_size=1, max_size=6))
+    @given(progressions(1, 1))
     @settings(max_examples=40, deadline=None)
-    def test_reproduces_values(self, ys):
-        pts = [(Q(i), y) for i, y in enumerate(ys)]
-        p = interpolate(pts, var="x")
-        for x, y in pts:
+    def test_reproduces_values(self, case):
+        xs, (ys,) = case
+        p = interpolate(xs, ys, var="x")
+        assert_normal(p)
+        for x, y in zip(xs, ys):
             assert p.eval_frac({"x": x}) == y
 
-    @given(
-        st.lists(st.fractions(), min_size=1, max_size=6, unique=True).flatmap(
-            lambda xs: st.tuples(
-                st.just(xs),
-                st.lists(
-                    st.lists(st.fractions(), min_size=len(xs), max_size=len(xs)),
-                    max_size=4,
-                ),
-            )
-        )
-    )
+    @given(progressions())
     @settings(max_examples=40, deadline=None)
     def test_columns_reproduce_values(self, case):
         xs, columns = case
@@ -581,46 +583,25 @@ class TestInterpolate:
             for x, y in zip(xs, ys):
                 assert Q(sum(c * x**k for k, c in nums.items()), den) == y
 
-    @given(
-        st.lists(
-            st.fractions(min_value=-6, max_value=6, max_denominator=4),
-            min_size=1, max_size=6, unique=True,
-        ).flatmap(
-            lambda xs: st.tuples(
-                st.just(xs),
-                st.lists(
-                    st.lists(
-                        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=9)),
-                        min_size=len(xs), max_size=len(xs),
-                    ),
-                    max_size=4,
-                ),
-            )
-        )
-    )
-    @settings(max_examples=60, deadline=None)
+    @given(progressions())
+    @settings(max_examples=100, deadline=None)
     def test_columns_match_oracle(self, case):
-        # rational and negative nodes; the second call reads the cached rows
+        # negative starts and values; integer numerators over s^r r!
         xs, columns = case
         want = oracle_interpolate_columns(xs, columns)
         assert poly_oracle.interpolate_columns(xs, columns) == want
-        for _ in range(2):
-            got, den = interpolate_columns(xs, columns)
-            assert [{k: Q(c, den) for k, c in col.items()} for col in got] == want
-            for col in got:
-                assert all(type(c) is int for c in col.values())
-                assert_normal(Poly(("x",), {(k,): c for k, c in col.items()}, den))
+        got, den = interpolate_columns(xs, columns)
+        assert den == xs.step ** (len(xs) - 1) * math.factorial(len(xs) - 1)
+        assert [{k: Q(c, den) for k, c in col.items()} for col in got] == want
+        for col in got:
+            assert all(type(c) is int for c in col.values())
+            assert_normal(Poly(("x",), {(k,): c for k, c in col.items()}, den))
 
-    def test_columns_accept_string_and_mixed_nodes(self):
-        nodes, cols = ["-1/2", 3, Q(5, 3), -4], [[1, Q(2, 3), 0, Q(-7, 2)], [0, 0, 0, 0]]
-        got, den = interpolate_columns(nodes, cols)
-        assert [{k: Q(c, den) for k, c in col.items()} for col in got] == (
-            oracle_interpolate_columns(nodes, cols)
-        )
-
-    def test_columns_duplicate_node(self):
-        with pytest.raises(DuplicateNode):
-            interpolate_columns([1, 3, 1], [[0, 1, 2]])
+    def test_oracles_refuse_repeated_nodes(self):
+        with pytest.raises(ValueError):
+            oracle_interpolate_columns([1, 3, 1], [[0, 1, 2]])
+        with pytest.raises(ValueError):
+            poly_oracle.interpolate_columns([1, 3, 1], [[0, 1, 2]])
 
 
 class TestHomog:

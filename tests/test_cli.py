@@ -5,11 +5,17 @@ serialization byte for byte.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omflow import cocycles
 from omflow.cli import build_parser, main, parse_at
@@ -481,3 +487,70 @@ def test_compute_respects_budget(capsys, what):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# JSON values of the wrong kind for any field: bools, floats, strings, null,
+# ragged and nested lists, objects
+_junk = st.one_of(
+    st.booleans(), st.none(), st.floats(-3, 3, allow_nan=False),
+    st.sampled_from(["", "x", "1/2", "1/0", "ab", "directed"]),
+    st.lists(st.one_of(st.integers(-1, 3), st.booleans()), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "rows"]), st.integers(0, 2), max_size=1),
+)
+
+
+def _field(good):
+    """`good` four times in five, else a value of the wrong kind."""
+    return st.integers(0, 4).flatmap(lambda i: good if i else _junk)
+
+
+_index = _field(st.integers(-1, 3))
+_label = _field(st.sampled_from(["a", "b", "c", "e1", "zz"]))
+
+
+def _instances():
+    """Digraph, matrix and mixed-graph objects, each field either of a
+    plausible shape or of a wrong one: ragged lists, bools, floats, unknown
+    labels, bad `pairs` and `assume_tu`."""
+    arc = st.lists(_index, min_size=1, max_size=3)
+    optional = {
+        "labels": _field(st.lists(_label, max_size=5, unique_by=json.dumps)),
+        "pairs": _field(st.lists(_field(st.lists(_label, max_size=3)), max_size=2)),
+    }
+    digraph = st.fixed_dictionaries(
+        {"vertices": _index, "arcs": _field(st.lists(_field(arc), max_size=4))},
+        optional=optional,
+    )
+    entry = _field(st.one_of(st.integers(-1, 1), st.sampled_from(["1", "-1", "1/2", "2"])))
+    matrix = st.fixed_dictionaries(
+        {"rows": _field(st.lists(_field(st.lists(entry, max_size=4)), max_size=3))},
+        optional={**optional, "assume_tu": _field(st.booleans())},
+    )
+    edge = st.tuples(_index, _index, _field(st.sampled_from(["directed", "undirected"])))
+    mixed = st.fixed_dictionaries(
+        {"vertices": _index,
+         "edges": _field(st.lists(_field(edge.map(list)), max_size=4))},
+        optional={"labels": optional["labels"]},
+    )
+    return st.one_of(digraph, matrix, mixed)
+
+
+_COMMANDS = [["compute", what] for what in _compute_choices()] + [["verify"], ["classes"]]
+
+
+@given(_instances(), st.sampled_from(_COMMANDS))
+@settings(max_examples=200, deadline=None)
+def test_malformed_json_input_never_raises(payload, command):
+    # every input gives a result, a budget trip, or one line on stderr with
+    # exit 2; an exception escaping main() fails here
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "input.json"
+        f.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, "--input", str(f), "--budget", "20000"])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1

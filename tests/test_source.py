@@ -304,3 +304,54 @@ def test_recurrences_read_no_dual():
     fn = _function(ast.parse(IDENTITIES.read_text()), "verify_recurrences")
     lines = list(_dual_reads(fn))
     assert lines == [], f"verify_recurrences reads dual/cocircuits at lines {lines}"
+
+
+def _interpolation_reads(tree):
+    """(enclosing top-level function or class, or None at module level, line)
+    of every read of `interpolate_columns`."""
+    for node in tree.body:
+        owner = getattr(node, "name", None)
+        for line in _reads(node, ("interpolate_columns",)):
+            yield owner, line
+
+
+def _lru_caches(tree):
+    """Lines that name `lru_cache`."""
+    return _reads(tree, ("lru_cache",))
+
+
+def test_interpolation_checks_flag_their_targets():
+    text = (
+        "from omflow.algebra import interpolate_columns\n"
+        "def _interpolated(nodes, cols):\n"
+        "    return interpolate_columns(nodes, cols)\n"
+        "def a_poly(om):\n"
+        "    f = algebra.interpolate_columns\n"
+        "cols = interpolate_columns(range(1, 4), [[0, 1, 2]])\n"
+    )
+    assert list(_interpolation_reads(ast.parse(text))) == [
+        ("_interpolated", 3), ("a_poly", 5), (None, 6)
+    ]
+    cached = "@functools.lru_cache(maxsize=32)\ndef f(): pass\n@lru_cache(8)\ndef g(): pass"
+    assert list(_lru_caches(ast.parse(cached))) == [1, 3]
+    assert list(_lru_caches(ast.parse("_PRODUCTS = {}\n'no lru_cache here'"))) == []
+
+
+def test_interpolation_has_one_route():
+    # every polynomial in q is interpolated through `_interpolated`, which
+    # checks the spare nodes; `interpolate` is its one-column wrapper
+    found = {
+        (path.name, owner)
+        for path in SOURCES
+        for owner, _ in _interpolation_reads(ast.parse(path.read_text()))
+    }
+    assert ("coflows.py", "_interpolated") in found
+    others = found - {("coflows.py", "_interpolated"), ("algebra.py", "interpolate")}
+    assert others == set(), f"interpolate_columns is read from {sorted(others)}"
+
+
+def test_algebra_holds_no_lru_cache():
+    # interpolation works over progressions and keeps no table across calls
+    path = Path(omflow.__file__).parent / "algebra.py"
+    lines = list(_lru_caches(ast.parse(path.read_text())))
+    assert lines == [], f"algebra.py uses lru_cache at lines {lines}"
